@@ -9,7 +9,7 @@
 //! in all four §3.1/§3.2 regimes.
 
 use diversim_core::difficulty::zeta;
-use diversim_exact::brute;
+use diversim_exact::brute::TestedEnsemble;
 use diversim_testing::suite_population::enumerate_iid_suites;
 use diversim_universe::population::Population;
 use diversim_universe::profile::UsageProfile;
@@ -65,19 +65,13 @@ fn run(ctx: &mut RunContext) {
         let max_err = ctx
             .cell(format!("regime=eq16|world=small-graded|n={n}"), |_scope| {
                 let m = enumerate_iid_suites(&w.profile, n, 1 << 14).expect("enumerable");
+                let ens = TestedEnsemble::new(&support, &m, w.pop_a.model());
                 let max_err = w
                     .profile
                     .space()
                     .iter()
                     .map(|x| {
-                        let brute_joint = brute::joint_on_demand_independent(
-                            &support,
-                            &support,
-                            &m,
-                            &m,
-                            w.pop_a.model(),
-                            x,
-                        );
+                        let brute_joint = ens.joint_on_demand_independent(&ens, x);
                         let z = zeta(&w.pop_a, x, &m);
                         (brute_joint - z * z).abs()
                     })
@@ -103,19 +97,14 @@ fn run(ctx: &mut RunContext) {
                 format!("regime=eq17|world=mirrored(0.5,0.05)|n={n}"),
                 |_scope| {
                     let m = enumerate_iid_suites(&wf.profile, n, 1 << 14).expect("enumerable");
+                    let ens_a = TestedEnsemble::new(&sa, &m, wf.pop_a.model());
+                    let ens_b = TestedEnsemble::new(&sb, &m, wf.pop_a.model());
                     let max_err = wf
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &sa,
-                                &sb,
-                                &m,
-                                &m,
-                                wf.pop_a.model(),
-                                x,
-                            );
+                            let brute_joint = ens_a.joint_on_demand_independent(&ens_b, x);
                             let z = zeta(&wf.pop_a, x, &m) * zeta(&wf.pop_b, x, &m);
                             (brute_joint - z).abs()
                         })
@@ -144,19 +133,14 @@ fn run(ctx: &mut RunContext) {
                 |_scope| {
                     let ma = enumerate_iid_suites(&w.profile, n, 1 << 14).expect("enumerable");
                     let mb = enumerate_iid_suites(&debug_profile, n, 1 << 14).expect("enumerable");
+                    let ens_a = TestedEnsemble::new(&support, &ma, w.pop_a.model());
+                    let ens_b = TestedEnsemble::new(&support, &mb, w.pop_a.model());
                     let max_err = w
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &support,
-                                &support,
-                                &ma,
-                                &mb,
-                                w.pop_a.model(),
-                                x,
-                            );
+                            let brute_joint = ens_a.joint_on_demand_independent(&ens_b, x);
                             let z = zeta(&w.pop_a, x, &ma) * zeta(&w.pop_a, x, &mb);
                             (brute_joint - z).abs()
                         })
@@ -189,19 +173,14 @@ fn run(ctx: &mut RunContext) {
                     )
                     .expect("enumerable");
                     let ma8 = enumerate_iid_suites(&wf.profile, n, 1 << 14).expect("enumerable");
+                    let ens_a = TestedEnsemble::new(&sa, &ma8, wf.pop_a.model());
+                    let ens_b = TestedEnsemble::new(&sb, &mb8, wf.pop_a.model());
                     let max_err = wf
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &sa,
-                                &sb,
-                                &ma8,
-                                &mb8,
-                                wf.pop_a.model(),
-                                x,
-                            );
+                            let brute_joint = ens_a.joint_on_demand_independent(&ens_b, x);
                             let z = zeta(&wf.pop_a, x, &ma8) * zeta(&wf.pop_b, x, &mb8);
                             (brute_joint - z).abs()
                         })

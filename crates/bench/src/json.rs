@@ -143,9 +143,27 @@ fn format_number(n: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts (the top-level value
+/// is depth 1). Twice the deepest valid serve request — a 256-node
+/// `system` chain of single-child gates nests 512 deep — and small
+/// enough that the recursive descent stays far inside any thread's
+/// stack.
+pub const MAX_DEPTH: usize = 1024;
+
+/// What kind of failure a [`ParseError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure: what went wrong and at which byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// The failure's kind.
+    pub kind: ParseErrorKind,
     /// Human-readable description.
     pub message: String,
     /// Byte offset into the input.
@@ -165,9 +183,14 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first malformed byte.
+/// Returns a [`ParseError`] locating the first malformed byte, or the
+/// first container opened past [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { input, pos: 0 };
+    let mut parser = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
@@ -180,6 +203,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Containers currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,6 +214,7 @@ impl Parser<'_> {
 
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.into(),
             offset: self.pos,
         }
@@ -227,8 +253,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -236,6 +262,26 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing to open it past
+    /// [`MAX_DEPTH`] (the recursion would otherwise be bounded only by
+    /// the line length, and a long run of `[` would overflow the stack).
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                kind: ParseErrorKind::TooDeep,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                offset: self.pos,
+            });
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -418,6 +464,33 @@ mod tests {
         }
         let err = parse("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("at byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = parse(&nest(MAX_DEPTH)).unwrap();
+        let mut value = &deepest;
+        for _ in 1..MAX_DEPTH {
+            value = &value.as_array().unwrap()[0];
+        }
+        assert_eq!(value, &Value::Array(vec![]));
+
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count too, and an unterminated run is refused before
+        // its missing closers are even looked for.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().kind, ParseErrorKind::TooDeep);
+        let flood = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(flood.kind, ParseErrorKind::TooDeep);
+        // Malformed input stays a syntax error.
+        assert_eq!(parse("[1,").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

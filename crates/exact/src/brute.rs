@@ -86,6 +86,38 @@ impl TestedEnsemble {
         out
     }
 
+    /// `P(both fail on x)` under independently drawn suites, `self`
+    /// debugging version A and `other` version B: the quadruple sum of
+    /// [`joint_on_demand_independent`] over prebuilt ensembles, so a
+    /// per-demand sweep debugs every combination once, not once per
+    /// demand.
+    ///
+    /// A combination that survives on `x` scores its weight, any other
+    /// scores `0.0`. Zero scores on either side contribute exact `+0.0`
+    /// products (every weight is non-negative and the sum starts at
+    /// `+0.0`), so they are skipped; the non-zero products still add in
+    /// enumeration order (A outer, B inner), and the result equals the
+    /// full quadruple sum bit-for-bit.
+    pub fn joint_on_demand_independent(&self, other: &TestedEnsemble, x: DemandId) -> f64 {
+        let scores_b: Vec<f64> = other.nonzero_scores(x).collect();
+        let mut total = 0.0;
+        for wa in self.nonzero_scores(x) {
+            for &wb in &scores_b {
+                total += wa * wb;
+            }
+        }
+        total
+    }
+
+    /// The non-zero weighted scores `S(π)·M(t)·υ(π, x, t)` on `x`, in
+    /// enumeration order.
+    fn nonzero_scores(&self, x: DemandId) -> impl Iterator<Item = f64> + '_ {
+        self.combos
+            .iter()
+            .filter(move |(w, fs)| *w != 0.0 && fs.contains(x.index()))
+            .map(|&(w, _)| w)
+    }
+
     /// `P(both fail on x)` for every demand under independently drawn
     /// suites: for each combination pair, the joint weight is scattered
     /// over the failure-set intersection as a masked block walk (equation
@@ -302,23 +334,13 @@ pub fn structure_marginal_shared(
     ))
 }
 
-/// The tested scores of every `(version, suite)` combination on demand
-/// `x`, each weighted by its joint probability `S(π)·M(t)`, read off a
-/// precomputed [`TestedEnsemble`].
-fn weighted_scores(ensemble: &TestedEnsemble, x: DemandId) -> Vec<f64> {
-    ensemble
-        .combos()
-        .iter()
-        .map(|(w, fs)| if fs.contains(x.index()) { *w } else { 0.0 })
-        .collect()
-}
-
 /// Brute-force `P(both tested versions fail on x)` when the two versions
 /// are debugged on **independently drawn** suites: the full quadruple sum
 /// `Σ_{π₁} Σ_{t₁} Σ_{π₂} Σ_{t₂} υ(π₁,x,t₁)·υ(π₂,x,t₂)·S_A·M_A·S_B·M_B`
 /// of equation (15), evaluated through the mechanistic debugging process.
 /// (Each `(π, t)` combination is debugged once and memoised as a
-/// [`TestedEnsemble`]; the quadruple sum itself is evaluated in full.)
+/// [`TestedEnsemble`]; see [`TestedEnsemble::joint_on_demand_independent`]
+/// to reuse the ensembles across demands.)
 pub fn joint_on_demand_independent(
     support_a: &Support,
     support_b: &Support,
@@ -329,18 +351,7 @@ pub fn joint_on_demand_independent(
 ) -> f64 {
     let ens_a = TestedEnsemble::new(support_a, measure_a, model);
     let ens_b = TestedEnsemble::new(support_b, measure_b, model);
-    let scores_a = weighted_scores(&ens_a, x);
-    let scores_b = weighted_scores(&ens_b, x);
-    let mut total = 0.0;
-    for &wa in &scores_a {
-        if wa == 0.0 {
-            continue;
-        }
-        for &wb in &scores_b {
-            total += wa * wb;
-        }
-    }
-    total
+    ens_a.joint_on_demand_independent(&ens_b, x)
 }
 
 /// Brute-force `P(both tested versions fail on x)` when both versions are

@@ -21,9 +21,10 @@ use serde::{Deserialize, Serialize};
 
 use diversim_testing::oracle::IdenticalFailureModel;
 use diversim_testing::process::{back_to_back_debug, debug_version};
+use diversim_testing::suite::TestSuite;
 use diversim_universe::version::Version;
 
-use crate::policy::PolicySpec;
+use crate::policy::{AllocationProfile, PolicySpec, PolicyStep};
 use crate::scenario::Scenario;
 
 /// The testing regime a campaign runs under.
@@ -65,75 +66,113 @@ pub struct PairOutcome {
     pub system_pfd_before: f64,
 }
 
-/// Runs one campaign of `scenario` (the body behind
-/// [`Scenario::run`]).
-///
-/// `suite_size` demands are drawn per suite (one suite per version under
-/// [`CampaignRegime::IndependentSuites`], one shared suite otherwise).
-/// The oracle is consulted only under [`CampaignRegime::SharedSuite`] and
-/// [`CampaignRegime::IndependentSuites`]; back-to-back supplies its own
-/// detection semantics.
-pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
-    if let CampaignRegime::Adaptive(spec) = scenario.regime() {
-        return crate::policy::run_adaptive_campaign(scenario, spec, seed).0;
+/// The draw half of one campaign: the pair sampled from `S_A` and `S_B`,
+/// with the campaign rng positioned just after the draws. Callers that
+/// report pre-debugging quantities read [`DrawnPair::first`] /
+/// [`DrawnPair::second`] here; [`DrawnPair::debug`] then consumes the
+/// pair and yields the debugged versions, so each study evaluates
+/// exactly the pfds it reads and nothing else.
+pub(crate) struct DrawnPair {
+    /// Version A as drawn.
+    pub(crate) first: Version,
+    /// Version B as drawn.
+    pub(crate) second: Version,
+    rng: StdRng,
+}
+
+impl DrawnPair {
+    /// Seeds the campaign rng with `seed` and samples A then B — the
+    /// opening every campaign of every regime shares.
+    pub(crate) fn draw(scenario: &Scenario, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let first = scenario.pop_a().sample(&mut rng);
+        let second = scenario.pop_b().sample(&mut rng);
+        DrawnPair { first, second, rng }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+
+    /// Debugs the pair under the scenario's regime and returns the tested
+    /// `(A, B)`.
+    ///
+    /// `suite_size` demands are drawn per suite (one suite per version
+    /// under [`CampaignRegime::IndependentSuites`], one shared suite
+    /// otherwise). The oracle is consulted only under
+    /// [`CampaignRegime::SharedSuite`] and
+    /// [`CampaignRegime::IndependentSuites`]; back-to-back supplies its
+    /// own detection semantics; [`CampaignRegime::Adaptive`] spends the
+    /// suite size as an execution budget (see [`crate::policy`]).
+    pub(crate) fn debug(self, scenario: &Scenario) -> (Version, Version) {
+        let DrawnPair {
+            first: mut va,
+            second: mut vb,
+            mut rng,
+        } = self;
+        let model = scenario.prepared().model();
+        let generator = scenario.generator();
+        let suite_size = scenario.suite_size();
+        let debug = |v: &Version, t: &TestSuite, rng: &mut StdRng| {
+            debug_version(v, t, model, scenario.oracle(), scenario.fixer(), rng).version
+        };
+        match scenario.regime() {
+            CampaignRegime::IndependentSuites => {
+                let ta = generator.generate(&mut rng, suite_size);
+                let tb = generator.generate(&mut rng, suite_size);
+                let a = debug(&va, &ta, &mut rng);
+                (a, debug(&vb, &tb, &mut rng))
+            }
+            CampaignRegime::SharedSuite => {
+                let t = generator.generate(&mut rng, suite_size);
+                let a = debug(&va, &t, &mut rng);
+                (a, debug(&vb, &t, &mut rng))
+            }
+            CampaignRegime::BackToBack(identical) => {
+                let t = generator.generate(&mut rng, suite_size);
+                let out =
+                    back_to_back_debug(&va, &vb, &t, model, identical, scenario.fixer(), &mut rng);
+                (out.first, out.second)
+            }
+            CampaignRegime::Adaptive(spec) => {
+                crate::policy::spend_budget(scenario, spec, &mut va, &mut vb, &mut rng, |_| {});
+                (va, vb)
+            }
+        }
+    }
+
+    /// [`DrawnPair::debug`] under the adaptive `spec`, handing every
+    /// executed decision to `on_step` and returning the realised
+    /// allocation profile alongside the tested `(A, B)`.
+    pub(crate) fn debug_adaptive(
+        mut self,
+        scenario: &Scenario,
+        spec: PolicySpec,
+        on_step: impl FnMut(PolicyStep),
+    ) -> (Version, Version, AllocationProfile) {
+        let profile = crate::policy::spend_budget(
+            scenario,
+            spec,
+            &mut self.first,
+            &mut self.second,
+            &mut self.rng,
+            on_step,
+        );
+        (self.first, self.second, profile)
+    }
+}
+
+/// Runs one campaign of `scenario` (the body behind [`Scenario::run`]):
+/// draw, evaluate the drawn pair, debug, evaluate the tested pair.
+pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
     let prepared = scenario.prepared();
-    let model = prepared.model();
-    let generator = scenario.generator();
-    let suite_size = scenario.suite_size();
-    let va = scenario.pop_a().sample(&mut rng);
-    let vb = scenario.pop_b().sample(&mut rng);
-    let first_pfd_before = prepared.version_pfd(&va);
-    let second_pfd_before = prepared.version_pfd(&vb);
-    let system_pfd_before = prepared.pair_pfd(&va, &vb);
-
-    let (ta, tb) = match scenario.regime() {
-        CampaignRegime::IndependentSuites => (
-            generator.generate(&mut rng, suite_size),
-            generator.generate(&mut rng, suite_size),
-        ),
-        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => {
-            let t = generator.generate(&mut rng, suite_size);
-            (t.clone(), t)
-        }
-        CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
-    };
-
-    let (first, second) = match scenario.regime() {
-        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {
-            let a = debug_version(
-                &va,
-                &ta,
-                model,
-                scenario.oracle(),
-                scenario.fixer(),
-                &mut rng,
-            );
-            let b = debug_version(
-                &vb,
-                &tb,
-                model,
-                scenario.oracle(),
-                scenario.fixer(),
-                &mut rng,
-            );
-            (a.version, b.version)
-        }
-        CampaignRegime::BackToBack(identical) => {
-            let out =
-                back_to_back_debug(&va, &vb, &ta, model, identical, scenario.fixer(), &mut rng);
-            (out.first, out.second)
-        }
-        CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
-    };
-
+    let drawn = DrawnPair::draw(scenario, seed);
+    let [first_pfd_before, second_pfd_before, system_pfd_before] =
+        prepared.pair_pfds(&drawn.first, &drawn.second);
+    let (first, second) = drawn.debug(scenario);
+    let [first_pfd, second_pfd, system_pfd] = prepared.pair_pfds(&first, &second);
     PairOutcome {
-        first_pfd: prepared.version_pfd(&first),
-        second_pfd: prepared.version_pfd(&second),
-        system_pfd: prepared.pair_pfd(&first, &second),
         first,
         second,
+        first_pfd,
+        second_pfd,
+        system_pfd,
         first_pfd_before,
         second_pfd_before,
         system_pfd_before,

@@ -86,9 +86,8 @@ pub(crate) fn mistake_study(
                     CommonCauseEvent::Mistake { faults: fb }.apply(&mut b);
                 }
             }
-            let version = 0.5 * (prepared.version_pfd(&a) + prepared.version_pfd(&b));
-            let system = prepared.pair_pfd(&a, &b);
-            (version, system, before)
+            let [pfd_a, pfd_b, system] = prepared.pair_pfds(&a, &b);
+            (0.5 * (pfd_a + pfd_b), system, before)
         });
     MistakeStudy {
         version_pfd,

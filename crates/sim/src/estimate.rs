@@ -10,6 +10,7 @@ use diversim_core::marginal::MarginalAnalysis;
 use diversim_stats::ci::{normal_mean, Interval};
 use diversim_stats::online::MeanVar;
 
+use crate::campaign::DrawnPair;
 use crate::scenario::Scenario;
 
 /// A Monte Carlo point estimate with its uncertainty.
@@ -78,13 +79,14 @@ impl PairEstimates {
 
 /// The body behind [`Scenario::estimate`]: replicated campaigns batched
 /// straight into the three moment accumulators, so no per-replication
-/// outcome (with its full `Version` payloads) is ever materialised.
+/// outcome (with its full `Version` payloads) is ever materialised and
+/// only the tested pair is evaluated.
 /// Deterministic in `(scenario.seeds(), replications)` regardless of
 /// `threads`.
 pub(crate) fn estimate(scenario: &Scenario, replications: u64, threads: usize) -> PairEstimates {
     let [acc_a, acc_b, acc_sys] = scenario.accumulate_n::<3, _>(replications, threads, |seed| {
-        let o = scenario.run(seed);
-        [o.first_pfd, o.second_pfd, o.system_pfd]
+        let (a, b) = DrawnPair::draw(scenario, seed).debug(scenario);
+        scenario.prepared().pair_pfds(&a, &b)
     });
     PairEstimates {
         version_a_pfd: Estimate::from_accumulator(&acc_a),

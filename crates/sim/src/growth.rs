@@ -72,9 +72,10 @@ impl GrowthCurve {
 }
 
 fn record(sample: &mut GrowthSample, prepared: &Prepared, va: &Version, vb: &Version) {
-    sample.version_a.push(prepared.version_pfd(va));
-    sample.version_b.push(prepared.version_pfd(vb));
-    sample.system.push(prepared.pair_pfd(va, vb));
+    let [a, b, system] = prepared.pair_pfds(va, vb);
+    sample.version_a.push(a);
+    sample.version_b.push(b);
+    sample.system.push(system);
 }
 
 /// One growth replication (the body behind [`Scenario::growth_sample`]):
@@ -257,13 +258,13 @@ pub(crate) fn merged_comparison(scenario: &Scenario, n: usize, seed: u64) -> Mer
     let b1 = diversim_testing::process::debug_version(&va, &merged, model, oracle, fixer, &mut rng);
     let b2 = diversim_testing::process::debug_version(&vb, &merged, model, oracle, fixer, &mut rng);
 
+    let [ind_a, ind_b, independent_system] = prepared.pair_pfds(&a1.version, &a2.version);
+    let [mrg_a, mrg_b, merged_system] = prepared.pair_pfds(&b1.version, &b2.version);
     MergedComparison {
-        independent_system: prepared.pair_pfd(&a1.version, &a2.version),
-        merged_system: prepared.pair_pfd(&b1.version, &b2.version),
-        independent_version: 0.5
-            * (prepared.version_pfd(&a1.version) + prepared.version_pfd(&a2.version)),
-        merged_version: 0.5
-            * (prepared.version_pfd(&b1.version) + prepared.version_pfd(&b2.version)),
+        independent_system,
+        merged_system,
+        independent_version: 0.5 * (ind_a + ind_b),
+        merged_version: 0.5 * (mrg_a + mrg_b),
     }
 }
 

@@ -31,6 +31,7 @@
 //! draw, version-A execution, version-B execution — so traces and
 //! outcomes are byte-identical across processes and thread counts.
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 #[cfg(feature = "serde")]
@@ -40,7 +41,9 @@ use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::Moments;
 use diversim_stats::stopping::{StoppingRule, StoppingState};
 
-use crate::campaign::PairOutcome;
+use diversim_universe::version::Version;
+
+use crate::campaign::DrawnPair;
 use crate::scenario::{Scenario, ScenarioError};
 
 /// A declarative, serialisable description of a [`TestPolicy`] — the
@@ -299,16 +302,19 @@ pub struct UcbIndex {
 }
 
 impl UcbIndex {
-    fn index(&self, tests: u64, failures: u64, spent: u64) -> f64 {
+    /// The index of one version, given `ln(spent + 1)` (shared by both
+    /// versions' indices, so computed once per decision).
+    fn index(&self, tests: u64, failures: u64, ln_spent: f64) -> f64 {
         let rate = failures as f64 / tests.max(1) as f64;
-        rate + self.c * (((spent + 1) as f64).ln() / (tests + 1) as f64).sqrt()
+        rate + self.c * (ln_spent / (tests + 1) as f64).sqrt()
     }
 }
 
 impl TestPolicy for UcbIndex {
     fn decide(&mut self, signals: &PolicySignals, _rng: &mut dyn RngCore) -> Allocation {
-        let a = self.index(signals.tests_a(), signals.failures_a(), signals.spent());
-        let b = self.index(signals.tests_b(), signals.failures_b(), signals.spent());
+        let ln_spent = ((signals.spent() + 1) as f64).ln();
+        let a = self.index(signals.tests_a(), signals.failures_a(), ln_spent);
+        let b = self.index(signals.tests_b(), signals.failures_b(), ln_spent);
         if a > b {
             Allocation::VersionA
         } else if b > a {
@@ -386,103 +392,102 @@ pub struct PolicyTrace {
     pub profile: AllocationProfile,
 }
 
-/// Runs one adaptive campaign (the body behind
-/// [`CampaignRegime::Adaptive`]): versions are drawn exactly as in
-/// [`crate::campaign::run_campaign`], then the policy spends the
-/// execution budget demand by demand.
-pub(crate) fn run_adaptive_campaign(
+/// Spends the execution budget of one adaptive campaign (the debug half
+/// of [`CampaignRegime::Adaptive`]): the policy allocates demand by
+/// demand and the drawn pair `va`/`vb` is debugged in place. Every
+/// executed decision is handed to `on_step` — [`Scenario::policy_trace`]
+/// collects them, every other caller passes a no-op that compiles away —
+/// and the realised allocation profile is returned.
+///
+/// [`CampaignRegime::Adaptive`]: crate::campaign::CampaignRegime::Adaptive
+pub(crate) fn spend_budget(
     scenario: &Scenario,
     spec: PolicySpec,
-    seed: u64,
-) -> (PairOutcome, PolicyTrace) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    va: &mut Version,
+    vb: &mut Version,
+    rng: &mut StdRng,
+    on_step: impl FnMut(PolicyStep),
+) -> AllocationProfile {
+    // Static dispatch: one monomorphised loop per shipped policy.
+    match spec {
+        PolicySpec::RoundRobin => allocate(RoundRobin, scenario, va, vb, rng, on_step),
+        PolicySpec::GreedyOnFailures => allocate(GreedyOnFailures, scenario, va, vb, rng, on_step),
+        PolicySpec::EpsilonGreedy { epsilon } => {
+            allocate(EpsilonGreedy { epsilon }, scenario, va, vb, rng, on_step)
+        }
+        PolicySpec::UcbIndex { c } => allocate(UcbIndex { c }, scenario, va, vb, rng, on_step),
+    }
+}
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let prepared = scenario.prepared();
-    let model = prepared.model();
+fn allocate<P: TestPolicy>(
+    mut policy: P,
+    scenario: &Scenario,
+    va: &mut Version,
+    vb: &mut Version,
+    rng: &mut StdRng,
+    mut on_step: impl FnMut(PolicyStep),
+) -> AllocationProfile {
+    let model = scenario.prepared().model();
     let test_profile = scenario.test_profile();
-    let mut va = scenario.pop_a().sample(&mut rng);
-    let mut vb = scenario.pop_b().sample(&mut rng);
-    let first_pfd_before = prepared.version_pfd(&va);
-    let second_pfd_before = prepared.version_pfd(&vb);
-    let system_pfd_before = prepared.pair_pfd(&va, &vb);
-
-    let budget = scenario.suite_size() as u64;
-    let mut policy = spec.policy();
-    let mut signals = PolicySignals::new(budget);
-    let mut steps = Vec::new();
+    let (oracle, fixer) = (scenario.oracle(), scenario.fixer());
+    // One execution: run `v` on `x`, judge, repair; returns the verdict.
+    let execute = |v: &mut Version, x, rng: &mut StdRng| {
+        let detected = v.fails_on(model, x) && oracle.detects(rng, x);
+        if detected {
+            fixer.fix(rng, model, v, x);
+        }
+        detected
+    };
+    let mut signals = PolicySignals::new(scenario.suite_size() as u64);
     let mut profile = AllocationProfile::default();
 
     while signals.remaining() > 0 {
-        let mut allocation = policy.decide(&signals, &mut rng);
+        let mut allocation = policy.decide(&signals, rng);
         if allocation == Allocation::Both && signals.remaining() < 2 {
             // Budget coercion: a shared demand no longer fits; fall back
             // to the parity pick so conservation holds exactly.
             allocation = parity_pick(signals.step());
         }
-        let x = test_profile.sample(&mut rng);
+        let x = test_profile.sample(rng);
         let (detected_a, detected_b) = match allocation {
             Allocation::VersionA => {
-                let failed = va.fails_on(model, x);
-                let detected = failed && scenario.oracle().detects(&mut rng, x);
-                if detected {
-                    scenario.fixer().fix(&mut rng, model, &mut va, x);
-                }
+                let detected = execute(va, x, rng);
                 signals.record_a(detected);
                 profile.only_a += 1;
                 (detected, false)
             }
             Allocation::VersionB => {
-                let failed = vb.fails_on(model, x);
-                let detected = failed && scenario.oracle().detects(&mut rng, x);
-                if detected {
-                    scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                }
+                let detected = execute(vb, x, rng);
                 signals.record_b(detected);
                 profile.only_b += 1;
                 (false, detected)
             }
             Allocation::Both => {
-                let failed_a = va.fails_on(model, x);
-                let detected_a = failed_a && scenario.oracle().detects(&mut rng, x);
-                if detected_a {
-                    scenario.fixer().fix(&mut rng, model, &mut va, x);
-                }
-                let failed_b = vb.fails_on(model, x);
-                let detected_b = failed_b && scenario.oracle().detects(&mut rng, x);
-                if detected_b {
-                    scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                }
+                let detected_a = execute(va, x, rng);
+                let detected_b = execute(vb, x, rng);
                 signals.record_both(detected_a, detected_b);
                 profile.shared += 1;
                 (detected_a, detected_b)
             }
         };
-        if detected_a {
-            profile.failures_a += 1;
-        }
-        if detected_b {
-            profile.failures_b += 1;
-        }
-        steps.push(PolicyStep {
+        profile.failures_a += u64::from(detected_a);
+        profile.failures_b += u64::from(detected_b);
+        on_step(PolicyStep {
             allocation,
             detected_a,
             detected_b,
         });
     }
+    profile
+}
 
-    let outcome = PairOutcome {
-        first_pfd: prepared.version_pfd(&va),
-        second_pfd: prepared.version_pfd(&vb),
-        system_pfd: prepared.pair_pfd(&va, &vb),
-        first: va,
-        second: vb,
-        first_pfd_before,
-        second_pfd_before,
-        system_pfd_before,
-    };
-    (outcome, PolicyTrace { steps, profile })
+/// The body behind [`Scenario::policy_trace`]: one adaptive campaign
+/// with every decision recorded.
+pub(crate) fn policy_trace(scenario: &Scenario, spec: PolicySpec, seed: u64) -> PolicyTrace {
+    let mut steps = Vec::new();
+    let (_, _, profile) =
+        DrawnPair::draw(scenario, seed).debug_adaptive(scenario, spec, |step| steps.push(step));
+    PolicyTrace { steps, profile }
 }
 
 /// Aggregate allocation behaviour of a replicated adaptive study.
@@ -510,8 +515,7 @@ pub(crate) fn policy_study(
     let reducer = (Moments, Moments, Moments, Moments);
     let (shared_fraction, only_a, only_b, shared) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let (_, trace) = run_adaptive_campaign(scenario, spec, seed);
-            let p = trace.profile;
+            let (_, _, p) = DrawnPair::draw(scenario, seed).debug_adaptive(scenario, spec, |_| {});
             (
                 p.shared_fraction(),
                 p.only_a as f64,

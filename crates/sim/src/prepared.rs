@@ -161,11 +161,7 @@ impl Prepared {
     pub fn version_pfd(&self, v: &Version) -> f64 {
         match self.strategy {
             EvalStrategy::Disjoint => v.faults().map(|f| self.fault_mass[f.index()]).sum(),
-            EvalStrategy::SparseUnion => self
-                .sparse_failure_indices(v)
-                .iter()
-                .map(|&i| self.weights.weight(i as usize))
-                .sum(),
+            EvalStrategy::SparseUnion => self.sparse_mass(&self.sparse_failure_indices(v)),
             EvalStrategy::DenseBlocks => self.weights.mass(&v.failure_set(&self.model)),
         }
     }
@@ -186,27 +182,70 @@ impl Prepared {
                     .map(|f| self.fault_mass[f.index()])
                     .sum()
             }
-            EvalStrategy::SparseUnion => {
-                let ia = self.sparse_failure_indices(a);
-                let ib = self.sparse_failure_indices(b);
-                let (mut pa, mut pb, mut acc) = (0, 0, 0.0);
-                while pa < ia.len() && pb < ib.len() {
-                    match ia[pa].cmp(&ib[pb]) {
-                        std::cmp::Ordering::Less => pa += 1,
-                        std::cmp::Ordering::Greater => pb += 1,
-                        std::cmp::Ordering::Equal => {
-                            acc += self.weights.weight(ia[pa] as usize);
-                            pa += 1;
-                            pb += 1;
-                        }
-                    }
-                }
-                acc
-            }
+            EvalStrategy::SparseUnion => self.sparse_shared_mass(
+                &self.sparse_failure_indices(a),
+                &self.sparse_failure_indices(b),
+            ),
             EvalStrategy::DenseBlocks => self
                 .weights
                 .intersection_mass(&a.failure_set(&self.model), &b.failure_set(&self.model)),
         }
+    }
+
+    /// `[version_pfd(a), version_pfd(b), pair_pfd(a, b)]` in one pass:
+    /// each version's failure set (or sparse index list) is built once
+    /// and feeds both its own mass and the shared mass. Every entry is
+    /// the same mass over the same set as the separate calls, so the
+    /// results agree with them bit-for-bit.
+    pub fn pair_pfds(&self, a: &Version, b: &Version) -> [f64; 3] {
+        match self.strategy {
+            EvalStrategy::Disjoint => [
+                self.version_pfd(a),
+                self.version_pfd(b),
+                self.pair_pfd(a, b),
+            ],
+            EvalStrategy::SparseUnion => {
+                let ia = self.sparse_failure_indices(a);
+                let ib = self.sparse_failure_indices(b);
+                [
+                    self.sparse_mass(&ia),
+                    self.sparse_mass(&ib),
+                    self.sparse_shared_mass(&ia, &ib),
+                ]
+            }
+            EvalStrategy::DenseBlocks => {
+                let fa = a.failure_set(&self.model);
+                let fb = b.failure_set(&self.model);
+                [
+                    self.weights.mass(&fa),
+                    self.weights.mass(&fb),
+                    self.weights.intersection_mass(&fa, &fb),
+                ]
+            }
+        }
+    }
+
+    /// `Σ Q(x)` over a sorted index list, in ascending demand order.
+    fn sparse_mass(&self, idx: &[u32]) -> f64 {
+        idx.iter().map(|&i| self.weights.weight(i as usize)).sum()
+    }
+
+    /// `Σ Q(x)` over the intersection of two sorted index lists, merged
+    /// in ascending demand order.
+    fn sparse_shared_mass(&self, ia: &[u32], ib: &[u32]) -> f64 {
+        let (mut pa, mut pb, mut acc) = (0, 0, 0.0);
+        while pa < ia.len() && pb < ib.len() {
+            match ia[pa].cmp(&ib[pb]) {
+                std::cmp::Ordering::Less => pa += 1,
+                std::cmp::Ordering::Greater => pb += 1,
+                std::cmp::Ordering::Equal => {
+                    acc += self.weights.weight(ia[pa] as usize);
+                    pa += 1;
+                    pb += 1;
+                }
+            }
+        }
+        acc
     }
 
     /// Exact system pfd of concrete `versions` composed under
@@ -450,6 +489,82 @@ mod tests {
                 structure_system_pfd(&s, &refs, &model, &q).unwrap(),
                 "sim and core structure paths disagree on {s:?}"
             );
+        }
+    }
+
+    #[test]
+    fn fused_pair_pfds_match_the_separate_calls_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // One world per strategy: singletons (disjoint), two overlapping
+        // needles in a 2048-demand haystack (sparse union), broad
+        // overlapping regions (dense blocks).
+        let worlds: Vec<(Arc<FaultModel>, UsageProfile)> = vec![
+            {
+                let space = DemandSpace::new(9).unwrap();
+                let model = FaultModelBuilder::new(space).singleton_faults().build();
+                (
+                    Arc::new(model.unwrap()),
+                    UsageProfile::zipf(space, 0.6).unwrap(),
+                )
+            },
+            {
+                let space = DemandSpace::new(2048).unwrap();
+                let model = FaultModelBuilder::new(space)
+                    .fault([d(3), d(700), d(1500)])
+                    .fault([d(700), d(1500), d(2047)])
+                    .fault([d(64), d(65)])
+                    .build();
+                (
+                    Arc::new(model.unwrap()),
+                    UsageProfile::zipf(space, 0.4).unwrap(),
+                )
+            },
+            {
+                let space = DemandSpace::new(130).unwrap();
+                let model = FaultModelBuilder::new(space)
+                    .fault((0..70).map(d).collect::<Vec<_>>())
+                    .fault((40..130).map(d).collect::<Vec<_>>())
+                    .fault([d(5), d(64), d(129)])
+                    .fault((60..68).map(d).collect::<Vec<_>>())
+                    .build();
+                (
+                    Arc::new(model.unwrap()),
+                    UsageProfile::zipf(space, 0.9).unwrap(),
+                )
+            },
+        ];
+        let strategies: Vec<EvalStrategy> = worlds
+            .iter()
+            .map(|(m, q)| Prepared::new(Arc::clone(m), q.clone()).strategy())
+            .collect();
+        assert_eq!(
+            strategies,
+            [
+                EvalStrategy::Disjoint,
+                EvalStrategy::SparseUnion,
+                EvalStrategy::DenseBlocks
+            ]
+        );
+        let mut rng = StdRng::seed_from_u64(17);
+        for (model, q) in worlds {
+            let p = Prepared::new(Arc::clone(&model), q);
+            let n = model.fault_count();
+            let mut draw = || {
+                let faults: Vec<FaultId> = (0..n as u32)
+                    .filter(|_| rng.gen::<f64>() < 0.5)
+                    .map(f)
+                    .collect();
+                Version::from_faults(&model, faults)
+            };
+            for _ in 0..64 {
+                let (a, b) = (draw(), draw());
+                let fused = p.pair_pfds(&a, &b).map(f64::to_bits);
+                let separate =
+                    [p.version_pfd(&a), p.version_pfd(&b), p.pair_pfd(&a, &b)].map(f64::to_bits);
+                assert_eq!(fused, separate, "{:?}", p.strategy());
+            }
         }
     }
 

@@ -935,9 +935,7 @@ impl Scenario {
     /// [`CampaignRegime::Adaptive`].
     pub fn policy_trace(&self, seed: u64) -> Result<PolicyTrace, ScenarioError> {
         match self.regime {
-            CampaignRegime::Adaptive(spec) => {
-                Ok(crate::policy::run_adaptive_campaign(self, spec, seed).1)
-            }
+            CampaignRegime::Adaptive(spec) => Ok(crate::policy::policy_trace(self, spec, seed)),
             _ => Err(ScenarioError::NotAdaptive),
         }
     }

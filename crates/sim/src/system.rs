@@ -59,8 +59,9 @@ use diversim_testing::process::{back_to_back_debug, debug_version};
 use diversim_universe::population::Population;
 use diversim_universe::version::Version;
 
-use crate::campaign::CampaignRegime;
+use crate::campaign::{CampaignRegime, DrawnPair};
 use crate::estimate::Estimate;
+use crate::prepared::Prepared;
 use crate::scenario::{Scenario, ScenarioError};
 
 /// A structure function bound to one component population per leaf: the
@@ -194,45 +195,68 @@ pub struct SystemEstimates {
 
 /// The body behind [`Scenario::system_run`].
 pub(crate) fn run_system(scenario: &Scenario, seed: u64) -> Result<SystemOutcome, ScenarioError> {
+    let spec = validated_spec(scenario)?;
+    let prepared = scenario.prepared();
+    let structure = spec.structure();
+    let ((component_pfds_before, system_pfd_before), versions) =
+        system_campaign(scenario, spec, seed, |drawn| {
+            evaluate(prepared, structure, drawn)
+        });
+    let (component_pfds, system_pfd) =
+        evaluate(prepared, structure, &versions.iter().collect::<Vec<_>>());
+    Ok(SystemOutcome {
+        versions,
+        component_pfds_before,
+        component_pfds,
+        system_pfd_before,
+        system_pfd,
+    })
+}
+
+/// Per-component pfds of `versions` and their system pfd under
+/// `structure`.
+fn evaluate(prepared: &Prepared, structure: &Structure, versions: &[&Version]) -> (Vec<f64>, f64) {
+    (
+        versions.iter().map(|v| prepared.version_pfd(v)).collect(),
+        prepared.structure_pfd(versions, structure),
+    )
+}
+
+/// The scenario's system spec, checked against its regime.
+fn validated_spec(scenario: &Scenario) -> Result<&SystemSpec, ScenarioError> {
     let spec = scenario
         .system_spec()
         .ok_or(ScenarioError::Missing { what: "system" })?;
     spec.require_regime(scenario.regime())?;
-    Ok(run_system_campaign(scenario, spec, seed))
+    Ok(spec)
 }
 
 /// One validated system campaign (callers hold a spec the scenario's
-/// regime accepts).
-fn run_system_campaign(scenario: &Scenario, spec: &SystemSpec, seed: u64) -> SystemOutcome {
-    let structure = spec.structure();
-    let prepared = scenario.prepared();
-
-    if let CampaignRegime::Adaptive(policy) = scenario.regime() {
-        // Two components by validation: run the pair's adaptive budget
-        // allocation, then evaluate the structure over its versions.
-        // Every pair campaign starts by seeding StdRng with `seed` and
-        // sampling A then B, so the pre-debugging pair is re-drawn
-        // exactly.
-        let out = crate::policy::run_adaptive_campaign(scenario, policy, seed).0;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let va = spec.populations()[0].sample(&mut rng);
-        let vb = spec.populations()[1].sample(&mut rng);
-        let system_pfd_before = prepared.structure_pfd(&[&va, &vb], structure);
-        let system_pfd = prepared.structure_pfd(&[&out.first, &out.second], structure);
-        return SystemOutcome {
-            component_pfds_before: vec![out.first_pfd_before, out.second_pfd_before],
-            component_pfds: vec![out.first_pfd, out.second_pfd],
-            versions: vec![out.first, out.second],
-            system_pfd_before,
-            system_pfd,
-        };
+/// regime accepts): draws every component, hands the drawn components
+/// to `observe_drawn` (the caller evaluates exactly the pre-debugging
+/// quantities it reports), debugs, and returns the observation with the
+/// debugged components.
+fn system_campaign<T>(
+    scenario: &Scenario,
+    spec: &SystemSpec,
+    seed: u64,
+    observe_drawn: impl FnOnce(&[&Version]) -> T,
+) -> (T, Vec<Version>) {
+    if let CampaignRegime::Adaptive(_) = scenario.regime() {
+        // Two components by validation, which the scenario also holds as
+        // its A/B populations: the pair's adaptive budget allocation
+        // runs on exactly the drawn pair.
+        let drawn = DrawnPair::draw(scenario, seed);
+        let observed = observe_drawn(&[&drawn.first, &drawn.second]);
+        let (a, b) = drawn.debug(scenario);
+        return (observed, vec![a, b]);
     }
 
     // rng order mirrors the pair campaign: sample every component in
     // index order, generate suite(s), debug in index order — so a
-    // two-component system replays `run_campaign`'s stream exactly.
+    // two-component system replays `Scenario::run`'s stream exactly.
     let mut rng = StdRng::seed_from_u64(seed);
-    let model = prepared.model();
+    let model = scenario.prepared().model();
     let generator = scenario.generator();
     let suite_size = scenario.suite_size();
 
@@ -241,9 +265,8 @@ fn run_system_campaign(scenario: &Scenario, spec: &SystemSpec, seed: u64) -> Sys
         .iter()
         .map(|pop| pop.sample(&mut rng))
         .collect();
-    let component_pfds_before: Vec<f64> = before.iter().map(|v| prepared.version_pfd(v)).collect();
     let refs: Vec<&Version> = before.iter().collect();
-    let system_pfd_before = prepared.structure_pfd(&refs, structure);
+    let observed = observe_drawn(&refs);
 
     let versions: Vec<Version> = match scenario.regime() {
         CampaignRegime::IndependentSuites => {
@@ -284,18 +307,7 @@ fn run_system_campaign(scenario: &Scenario, spec: &SystemSpec, seed: u64) -> Sys
         }
         CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
     };
-
-    let component_pfds: Vec<f64> = versions.iter().map(|v| prepared.version_pfd(v)).collect();
-    let refs: Vec<&Version> = versions.iter().collect();
-    let system_pfd = prepared.structure_pfd(&refs, structure);
-
-    SystemOutcome {
-        versions,
-        component_pfds_before,
-        component_pfds,
-        system_pfd_before,
-        system_pfd,
-    }
+    (observed, versions)
 }
 
 /// The body behind [`Scenario::system_estimate`]: replicated system
@@ -306,10 +318,9 @@ pub(crate) fn estimate_system(
     replications: u64,
     threads: usize,
 ) -> Result<SystemEstimates, ScenarioError> {
-    let spec = scenario
-        .system_spec()
-        .ok_or(ScenarioError::Missing { what: "system" })?;
-    spec.require_regime(scenario.regime())?;
+    let spec = validated_spec(scenario)?;
+    let prepared = scenario.prepared();
+    let structure = spec.structure();
     let reducer = (
         Moments,
         Moments,
@@ -317,8 +328,12 @@ pub(crate) fn estimate_system(
     );
     let (system, system_before, components) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let out = run_system_campaign(scenario, spec, seed);
-            (out.system_pfd, out.system_pfd_before, out.component_pfds)
+            let (system_pfd_before, versions) = system_campaign(scenario, spec, seed, |drawn| {
+                prepared.structure_pfd(drawn, structure)
+            });
+            let (component_pfds, system_pfd) =
+                evaluate(prepared, structure, &versions.iter().collect::<Vec<_>>());
+            (system_pfd, system_pfd_before, component_pfds)
         });
     Ok(SystemEstimates {
         component_pfds: components.iter().map(Estimate::from_accumulator).collect(),

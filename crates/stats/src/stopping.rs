@@ -137,15 +137,51 @@ pub enum StoppingRule {
 /// Streaming evaluation state for a [`StoppingRule`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoppingState {
-    rule: StoppingRule,
+    rule: Criterion,
     demands: u64,
     failures: u64,
     failure_free_run: u64,
 }
 
+/// A [`StoppingRule`] with its demand-independent work done once: the
+/// failure-free rule's run-length threshold (or its validation error)
+/// is resolved when the state is built, not on every
+/// [`StoppingState::should_stop`].
+#[derive(Debug, Clone, PartialEq)]
+enum Criterion {
+    /// Stop after this many demands.
+    Demands(u64),
+    /// Stop once the failure-free run reaches this length.
+    FailureFreeRun(Result<u64, StatsError>),
+    /// Stop once the Beta posterior reaches the confidence.
+    Posterior {
+        a: f64,
+        b: f64,
+        target: f64,
+        confidence: f64,
+    },
+}
+
 impl StoppingState {
     /// Creates a fresh state for `rule`.
     pub fn new(rule: StoppingRule) -> Self {
+        let rule = match rule {
+            StoppingRule::FixedSize(n) => Criterion::Demands(n),
+            StoppingRule::FailureFree { target, confidence } => {
+                Criterion::FailureFreeRun(failure_free_tests_required(target, confidence))
+            }
+            StoppingRule::BayesianBeta {
+                a,
+                b,
+                target,
+                confidence,
+            } => Criterion::Posterior {
+                a,
+                b,
+                target,
+                confidence,
+            },
+        };
         Self {
             rule,
             demands: 0,
@@ -182,12 +218,10 @@ impl StoppingState {
     /// Propagates parameter-validation errors from the underlying rule.
     pub fn should_stop(&self) -> Result<bool, StatsError> {
         match self.rule {
-            StoppingRule::FixedSize(n) => Ok(self.demands >= n),
-            StoppingRule::FailureFree { target, confidence } => {
-                let needed = failure_free_tests_required(target, confidence)?;
-                Ok(self.failure_free_run >= needed)
-            }
-            StoppingRule::BayesianBeta {
+            Criterion::Demands(n) => Ok(self.demands >= n),
+            Criterion::FailureFreeRun(Ok(needed)) => Ok(self.failure_free_run >= needed),
+            Criterion::FailureFreeRun(Err(ref e)) => Err(e.clone()),
+            Criterion::Posterior {
                 a,
                 b,
                 target,
@@ -382,6 +416,43 @@ mod tests {
         assert!(optimist > 0.999_999, "got {optimist}");
         let pessimist = bayesian_confidence(1e6, 1.0, 10, 0, 0.05).unwrap();
         assert!(pessimist < 1e-9, "got {pessimist}");
+    }
+
+    #[test]
+    fn resolved_threshold_decides_exactly_like_the_closed_form() {
+        // The state resolves the failure-free threshold once; every
+        // decision must still be `run >= failure_free_tests_required`.
+        for &target in &[0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 1e-3] {
+            for &confidence in &[0.5, 0.8, 0.9, 0.95, 0.99] {
+                let needed = failure_free_tests_required(target, confidence).unwrap();
+                let mut st = StoppingState::new(StoppingRule::FailureFree { target, confidence });
+                // A failure midway resets the run, so the threshold is
+                // crossed at two different demand counts.
+                let reset_at = needed / 2;
+                for i in 0..needed + reset_at + 2 {
+                    let run = st.failure_free_run;
+                    assert_eq!(
+                        st.should_stop().unwrap(),
+                        run >= needed,
+                        "target {target}, confidence {confidence}, run {run}"
+                    );
+                    st.record(i == reset_at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_failure_free_rule_still_errors_on_should_stop() {
+        for (target, confidence) in [(0.0, 0.9), (1.0, 0.9), (f64::NAN, 0.9), (0.1, 1.0)] {
+            // Compared through `Debug`: a NaN payload is not `==` itself.
+            let expected = format!("{:?}", failure_free_tests_required(target, confidence));
+            let mut st = StoppingState::new(StoppingRule::FailureFree { target, confidence });
+            assert_eq!(format!("{:?}", st.should_stop()), expected);
+            st.record(false);
+            assert_eq!(format!("{:?}", st.should_stop()), expected);
+            assert!(expected.starts_with("Err(InvalidProbability"), "{expected}");
+        }
     }
 
     #[test]
