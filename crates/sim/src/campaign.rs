@@ -109,20 +109,20 @@ impl DrawnPair {
         let model = scenario.prepared().model();
         let generator = scenario.generator();
         let suite_size = scenario.suite_size();
-        let debug = |v: &Version, t: &TestSuite, rng: &mut StdRng| {
+        let debug_one = |v: &Version, t: &TestSuite, rng: &mut StdRng| {
             debug_version(v, t, model, scenario.oracle(), scenario.fixer(), rng).version
         };
         match scenario.regime() {
             CampaignRegime::IndependentSuites => {
                 let ta = generator.generate(&mut rng, suite_size);
                 let tb = generator.generate(&mut rng, suite_size);
-                let a = debug(&va, &ta, &mut rng);
-                (a, debug(&vb, &tb, &mut rng))
+                let a = debug_one(&va, &ta, &mut rng);
+                (a, debug_one(&vb, &tb, &mut rng))
             }
             CampaignRegime::SharedSuite => {
                 let t = generator.generate(&mut rng, suite_size);
-                let a = debug(&va, &t, &mut rng);
-                (a, debug(&vb, &t, &mut rng))
+                let a = debug_one(&va, &t, &mut rng);
+                (a, debug_one(&vb, &t, &mut rng))
             }
             CampaignRegime::BackToBack(identical) => {
                 let t = generator.generate(&mut rng, suite_size);

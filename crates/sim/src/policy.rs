@@ -103,16 +103,6 @@ impl PolicySpec {
             }
         }
     }
-
-    /// Instantiates the policy this spec describes.
-    pub fn policy(&self) -> Box<dyn TestPolicy> {
-        match *self {
-            PolicySpec::RoundRobin => Box::new(RoundRobin),
-            PolicySpec::GreedyOnFailures => Box::new(GreedyOnFailures),
-            PolicySpec::EpsilonGreedy { epsilon } => Box::new(EpsilonGreedy { epsilon }),
-            PolicySpec::UcbIndex { c } => Box::new(UcbIndex { c }),
-        }
-    }
 }
 
 impl std::fmt::Display for PolicySpec {
