@@ -546,7 +546,7 @@ impl ScenarioBuilder {
             regime: self.regime,
             suite_size: self.suite_size,
             seeds: self.seeds,
-            test_profile: self.test_profile.map(Arc::new),
+            test_profile: self.test_profile,
             system: self.system.map(Arc::new),
             prepared,
         })
@@ -568,7 +568,7 @@ pub struct Scenario {
     regime: CampaignRegime,
     suite_size: usize,
     seeds: SeedPolicy,
-    test_profile: Option<Arc<UsageProfile>>,
+    test_profile: Option<UsageProfile>,
     system: Option<Arc<SystemSpec>>,
     prepared: Arc<Prepared>,
 }
@@ -645,7 +645,7 @@ impl Scenario {
 
     pub(crate) fn test_profile(&self) -> &UsageProfile {
         self.test_profile
-            .as_deref()
+            .as_ref()
             .unwrap_or_else(|| self.prepared.profile())
     }
 
@@ -1055,6 +1055,27 @@ mod tests {
 
     fn world() -> World {
         World::singleton_uniform("test", vec![0.3, 0.5, 0.7]).unwrap()
+    }
+
+    #[test]
+    fn a_scenario_holds_its_worlds_one_profile() {
+        use diversim_universe::generator::{ProfileKind, PropensityKind, RegionSize, UniverseSpec};
+        use rand::SeedableRng;
+        let spec = UniverseSpec {
+            n_demands: 256,
+            n_faults: 32,
+            region_size: RegionSize::Uniform { min: 1, max: 4 },
+            profile: ProfileKind::Zipf(1.0),
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let (universe, pop) = spec
+            .generate_with_population(&mut rng, PropensityKind::Constant(0.2))
+            .unwrap();
+        let w = World::from_universe("shared", &universe, pop);
+        let scenario = w.scenario().build().unwrap();
+        let held = universe.profile().probabilities().as_ptr();
+        assert_eq!(w.generator.profile().probabilities().as_ptr(), held);
+        assert_eq!(scenario.prepared().profile().probabilities().as_ptr(), held);
     }
 
     #[test]

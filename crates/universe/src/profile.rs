@@ -5,10 +5,9 @@
 //! is also what operational-profile test generation draws from (§2), so it
 //! doubles as the demand sampler for both operation and testing.
 
-use rand::Rng;
+use std::sync::Arc;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
 use diversim_stats::alias::AliasSampler;
 
@@ -16,6 +15,11 @@ use crate::demand::{DemandId, DemandSpace};
 use crate::error::UniverseError;
 
 /// A probability distribution over the demand space, with O(1) sampling.
+///
+/// The probability vector and the alias table are built once and shared:
+/// a clone is a reference-count bump, so every holder of a world's
+/// profile (its generator, its scenarios, their prepared kernels) reads
+/// one copy.
 ///
 /// # Examples
 ///
@@ -28,25 +32,38 @@ use crate::error::UniverseError;
 /// assert!((q.probability(diversim_universe::demand::DemandId::new(0)) - 0.25).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct UsageProfile {
     space: DemandSpace,
+    tables: Arc<Tables>,
+}
+
+/// The shared storage behind a [`UsageProfile`]. `probabilities` is kept
+/// apart from the sampler's own normalised weights: `uniform` stores
+/// exactly `1/n`, which `w / total` need not reproduce to the last bit.
+#[derive(Debug, PartialEq)]
+struct Tables {
     probabilities: Vec<f64>,
-    #[cfg_attr(feature = "serde", serde(skip, default))]
-    sampler: Option<AliasSampler>,
+    sampler: AliasSampler,
 }
 
 impl UsageProfile {
+    fn from_tables(space: DemandSpace, probabilities: Vec<f64>, sampler: AliasSampler) -> Self {
+        Self {
+            space,
+            tables: Arc::new(Tables {
+                probabilities,
+                sampler,
+            }),
+        }
+    }
+
     /// Uniform distribution over the space.
     pub fn uniform(space: DemandSpace) -> Self {
         let n = space.len();
         let probabilities = vec![1.0 / n as f64; n];
-        let sampler = AliasSampler::new(&probabilities).ok();
-        Self {
-            space,
-            probabilities,
-            sampler,
-        }
+        let sampler =
+            AliasSampler::new(&probabilities).expect("a non-empty space has valid uniform weights");
+        Self::from_tables(space, probabilities, sampler)
     }
 
     /// Zipf-like distribution: demand `i` gets weight `1 / (i + 1)^s`,
@@ -86,11 +103,7 @@ impl UsageProfile {
         }
         let sampler = AliasSampler::new(&weights)?;
         let probabilities = sampler.probabilities().to_vec();
-        Ok(Self {
-            space,
-            probabilities,
-            sampler: Some(sampler),
-        })
+        Ok(Self::from_tables(space, probabilities, sampler))
     }
 
     /// The demand space this profile is defined over.
@@ -104,12 +117,12 @@ impl UsageProfile {
     ///
     /// Panics if `x` is outside the demand space.
     pub fn probability(&self, x: DemandId) -> f64 {
-        self.probabilities[x.index()]
+        self.tables.probabilities[x.index()]
     }
 
     /// The full probability vector, indexed by demand.
     pub fn probabilities(&self) -> &[f64] {
-        &self.probabilities
+        &self.tables.probabilities
     }
 
     /// Total probability of a set of demands `Σ_{x ∈ set} Q(x)`.
@@ -119,23 +132,7 @@ impl UsageProfile {
 
     /// Draws one demand `X ~ Q(·)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> DemandId {
-        match &self.sampler {
-            Some(s) => DemandId::new(s.sample(rng) as u32),
-            // Deserialized profiles rebuild lazily through `ensure_sampler`;
-            // this fallback does a linear CDF walk and cannot fail because
-            // probabilities are normalised at construction.
-            None => {
-                let u: f64 = rng.gen();
-                let mut acc = 0.0;
-                for (i, &p) in self.probabilities.iter().enumerate() {
-                    acc += p;
-                    if u < acc {
-                        return DemandId::new(i as u32);
-                    }
-                }
-                DemandId::new((self.probabilities.len() - 1) as u32)
-            }
-        }
+        DemandId::new(self.tables.sampler.sample(rng) as u32)
     }
 
     /// Draws `count` i.i.d. demands.
@@ -145,7 +142,7 @@ impl UsageProfile {
 
     /// Iterates `(demand, Q(demand))` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (DemandId, f64)> + '_ {
-        self.probabilities
+        self.probabilities()
             .iter()
             .enumerate()
             .map(|(i, &p)| (DemandId::new(i as u32), p))
@@ -170,7 +167,7 @@ impl UsageProfile {
         let mut weights = vec![0.0; self.space.len()];
         for x in demands {
             self.space.check(x)?;
-            weights[x.index()] = self.probabilities[x.index()];
+            weights[x.index()] = self.probability(x);
         }
         Self::from_weights(self.space, weights)
     }
@@ -273,6 +270,14 @@ mod tests {
     fn restriction_to_nothing_errors() {
         let q = UsageProfile::uniform(space(3));
         assert!(q.restricted_to(std::iter::empty()).is_err());
+    }
+
+    #[test]
+    fn clones_share_one_copy() {
+        let q = UsageProfile::zipf(space(16), 1.0).unwrap();
+        let c = q.clone();
+        assert_eq!(q.probabilities().as_ptr(), c.probabilities().as_ptr());
+        assert_eq!(q, c);
     }
 
     #[test]
