@@ -22,7 +22,7 @@ use std::time::Instant;
 use diversim_sim::runner::default_threads;
 
 use crate::book::{self, ResultDoc};
-use crate::engine::{run_experiment, write_outcome, RunOutcome};
+use crate::engine::{run_experiment, run_side_by_side, write_outcome, RunOutcome};
 use crate::registry;
 use crate::report::Table;
 use crate::serve::server::{serve_stdio, serve_tcp};
@@ -58,11 +58,13 @@ OPTIONS:
     --smoke        tiny replication budgets; checks recorded, not enforced
     --fast         1/10 replication budgets (the CI profile)
     --full         paper-faithful replication budgets [default]
-    --threads N    worker threads (default: available CPUs, capped at 16)
+    --threads N    worker threads per experiment, and how many experiments
+                   run side by side (default: available CPUs, capped at 16)
     --out DIR      run: write one JSON and one CSV result file per experiment
                    report: book output root (default: the workspace root,
                    i.e. the committed REPORT.md + report/ book)
-    --quiet        suppress experiment narration and tables
+    --quiet        suppress experiment narration and tables (otherwise printed
+                   per experiment, in registry order, once it finishes)
 
 `sweep` runs experiments cell-by-cell against a content-addressed cell
 store (--cells, default <out>/cells or results/cells). Unsharded
@@ -194,43 +196,63 @@ fn resolve(keys: &[String], all: bool, profile: Profile) -> Result<Vec<Experimen
 
 fn run_requests(requests: &[ExperimentRequest], opts: &RunOptions) -> ExitCode {
     let started = Instant::now();
-    let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(requests.len());
-    for (position, request) in requests.iter().enumerate() {
-        if !opts.quiet && requests.len() > 1 {
-            println!(
-                "━━━ {} ({}/{}) ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━",
-                request.key,
-                position + 1,
-                requests.len()
-            );
-        }
-        let outcome = match execute_experiment(request, opts.threads, opts.quiet) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // Unreachable after `resolve`, but the typed surface
-                // reports it properly for any future caller.
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
+    // Printing and writing follow registry order; after the first
+    // error the remaining results are dropped unprinted.
+    let mut released = 0;
+    let mut failed = false;
+    let results = run_side_by_side(
+        requests,
+        opts.threads,
+        |request| execute_experiment(request, opts.threads, opts.quiet),
+        |result| {
+            released += 1;
+            if failed {
+                return;
             }
-        };
-        if let Some(dir) = &opts.out {
-            match write_outcome(dir, &outcome) {
-                Ok((json_path, csv_path)) => {
-                    if !opts.quiet {
-                        println!("results: {} + {}", json_path.display(), csv_path.display());
+            let outcome = match result {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    // Unreachable after `resolve`, but the typed surface
+                    // reports it properly for any future caller.
+                    eprintln!("error: {e}");
+                    failed = true;
+                    return;
+                }
+            };
+            if !opts.quiet && requests.len() > 1 {
+                println!(
+                    "━━━ {} ({}/{}) ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━",
+                    outcome.spec.slug,
+                    released,
+                    requests.len()
+                );
+            }
+            outcome.transcript.print();
+            if let Some(dir) = &opts.out {
+                match write_outcome(dir, outcome) {
+                    Ok((json_path, csv_path)) => {
+                        if !opts.quiet {
+                            println!("results: {} + {}", json_path.display(), csv_path.display());
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "error: could not write results for {}: {e}",
+                            outcome.spec.name
+                        );
+                        failed = true;
                     }
                 }
-                Err(e) => {
-                    eprintln!(
-                        "error: could not write results for {}: {e}",
-                        outcome.spec.name
-                    );
-                    return ExitCode::from(2);
-                }
             }
-        }
-        outcomes.push(outcome);
+        },
+    );
+    if failed {
+        return ExitCode::from(2);
     }
+    let outcomes: Vec<RunOutcome> = results
+        .into_iter()
+        .map(|result| result.expect("errors returned above"))
+        .collect();
 
     let mut summary = Table::new(
         &format!(
@@ -338,6 +360,13 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
     if bench_out.is_some() && resume {
         return Err("--bench-out runs its own cold and warm passes; drop --resume".into());
     }
+    if bench_out.is_some() && verify {
+        return Err(
+            "--bench-out checks its warm pass against its cold pass and never verifies; \
+             drop --verify"
+                .into(),
+        );
+    }
     let cells = cells.unwrap_or_else(|| {
         flags
             .out
@@ -362,23 +391,38 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
     ))
 }
 
-/// Runs one sweep pass over `specs`, printing per-experiment cache
-/// accounting unless `opts.quiet`. Returns the runs plus the
-/// accumulated stats.
+/// One experiment's share of a sweep pass: its run, plus its drift
+/// check against a direct run when the pass verifies.
+type PassRun = (SweepRun, Option<Result<(), String>>);
+
+/// Runs one sweep pass over `specs`, side by side, verifying each
+/// merged result in its lane when `verify` is set. Prints each
+/// experiment's narration and cache accounting in registry order unless
+/// `opts.quiet`. Returns the runs plus the accumulated stats.
 fn sweep_pass(
     specs: &[&'static ExperimentSpec],
     store: &CellStore,
     opts: &SweepOptions,
-) -> (Vec<SweepRun>, SweepStats) {
-    let mut runs = Vec::with_capacity(specs.len());
+    verify: bool,
+) -> (Vec<PassRun>, SweepStats) {
+    let runs = run_side_by_side(
+        specs,
+        opts.threads,
+        |spec| {
+            let run = sweep_experiment(spec, store, opts);
+            let drift = verify.then(|| verify_against_direct_run(&run, opts.threads));
+            (run, drift)
+        },
+        |(run, _)| {
+            if !opts.quiet {
+                run.outcome.transcript.print();
+                println!("{}: {}", run.outcome.spec.name, run.stats.summary());
+            }
+        },
+    );
     let mut total = SweepStats::default();
-    for spec in specs {
-        let run = sweep_experiment(spec, store, opts);
-        if !opts.quiet {
-            println!("{}: {}", spec.name, run.stats.summary());
-        }
+    for (run, _) in &runs {
         total.add(run.stats);
-        runs.push(run);
     }
     (runs, total)
 }
@@ -412,7 +456,7 @@ fn sweep(args: &[String]) -> ExitCode {
         resume: opts.resume,
         quiet: opts.quiet,
     };
-    let (runs, total) = sweep_pass(&specs, &store, &pass);
+    let (runs, total) = sweep_pass(&specs, &store, &pass, opts.verify);
     println!(
         "sweep [{}{}]: {} ({:.2}s)",
         opts.profile.name(),
@@ -431,7 +475,7 @@ fn sweep(args: &[String]) -> ExitCode {
 
     let mut failed_experiments = 0;
     let mut drifted = 0;
-    for run in &runs {
+    for (run, drift) in &runs {
         if let Some(dir) = &opts.out {
             if let Err(e) = write_outcome(dir, &run.outcome) {
                 eprintln!(
@@ -447,8 +491,8 @@ fn sweep(args: &[String]) -> ExitCode {
                 eprintln!("FAILED [{}]: {}", run.outcome.spec.name, check.label);
             }
         }
-        if opts.verify {
-            match verify_against_direct_run(run) {
+        if let Some(drift) = drift {
+            match drift {
                 Ok(()) => {
                     if !opts.quiet {
                         println!(
@@ -495,13 +539,13 @@ fn sweep_bench(
         quiet: true,
     };
     let cold_started = Instant::now();
-    let (cold_runs, cold) = sweep_pass(specs, store, &pass(false));
+    let (cold_runs, cold) = sweep_pass(specs, store, &pass(false), false);
     let cold_ns = cold_started.elapsed().as_nanos();
     let warm_started = Instant::now();
-    let (warm_runs, warm) = sweep_pass(specs, store, &pass(true));
+    let (warm_runs, warm) = sweep_pass(specs, store, &pass(true), false);
     let warm_ns = warm_started.elapsed().as_nanos();
 
-    for (a, b) in cold_runs.iter().zip(&warm_runs) {
+    for ((a, _), (b, _)) in cold_runs.iter().zip(&warm_runs) {
         if a.outcome.json != b.outcome.json || a.outcome.csv != b.outcome.csv {
             eprintln!(
                 "DRIFT: {}: warm-cache pass is not byte-identical to the cold pass",
@@ -511,7 +555,7 @@ fn sweep_bench(
         }
     }
     if let Some(dir) = &opts.out {
-        for run in &warm_runs {
+        for (run, _) in &warm_runs {
             if let Err(e) = write_outcome(dir, &run.outcome) {
                 eprintln!(
                     "error: could not write results for {}: {e}",
@@ -708,16 +752,26 @@ fn workspace_root() -> PathBuf {
 }
 
 fn load_or_run_docs(opts: &ReportOptions) -> Result<Vec<ResultDoc>, String> {
-    let mut docs = Vec::new();
-    for spec in registry::all() {
-        let doc = if opts.run {
-            if !opts.quiet {
-                println!("running {} …", spec.name);
-            }
-            let outcome =
-                run_experiment(spec, opts.profile.unwrap_or_default(), opts.threads, true);
-            ResultDoc::from_outcome(&outcome).map_err(|e| e.to_string())?
-        } else {
+    if opts.run {
+        let profile = opts.profile.unwrap_or_default();
+        let outcomes = run_side_by_side(
+            &registry::all(),
+            opts.threads,
+            |spec| run_experiment(spec, profile, opts.threads, true),
+            |outcome| {
+                if !opts.quiet {
+                    println!("running {} …", outcome.spec.name);
+                }
+            },
+        );
+        return outcomes
+            .iter()
+            .map(|outcome| ResultDoc::from_outcome(outcome).map_err(|e| e.to_string()))
+            .collect();
+    }
+    registry::all()
+        .iter()
+        .map(|spec| {
             let path = opts.results.join(format!("{}.json", spec.name));
             let text = std::fs::read_to_string(&path).map_err(|e| {
                 format!(
@@ -727,11 +781,9 @@ fn load_or_run_docs(opts: &ReportOptions) -> Result<Vec<ResultDoc>, String> {
                     opts.results.display()
                 )
             })?;
-            ResultDoc::from_json(&text, &path.display().to_string()).map_err(|e| e.to_string())?
-        };
-        docs.push(doc);
-    }
-    Ok(docs)
+            ResultDoc::from_json(&text, &path.display().to_string()).map_err(|e| e.to_string())
+        })
+        .collect()
 }
 
 fn write_book(root: &Path, book: &book::Book) -> std::io::Result<()> {
@@ -1020,6 +1072,7 @@ mod tests {
         assert!(parse_sweep_args(&strings(&["--shard", "0/2", "--verify"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard", "0/2", "--bench-out", "b.json"])).is_err());
         assert!(parse_sweep_args(&strings(&["--bench-out", "b.json", "--resume"])).is_err());
+        assert!(parse_sweep_args(&strings(&["--bench-out", "b.json", "--verify"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard", "2/2"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard"])).is_err());
         assert!(parse_sweep_args(&strings(&["--cells"])).is_err());

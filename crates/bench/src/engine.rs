@@ -6,13 +6,18 @@
 //! thread counts leak into the output, so result files are
 //! byte-identical across machines and worker counts and can be diffed
 //! by regression tooling.
+//!
+//! [`run_side_by_side`] runs a list of experiments at once, one lane per
+//! worker thread; every all-experiments pass of the CLI goes through it.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::report::{json_escape, tables_to_long_csv};
-use crate::spec::{Check, ExperimentSpec, Profile, RunContext};
+use crate::spec::{Check, ExperimentSpec, Profile, RunContext, Transcript};
 
 /// Identifies the result-file schema emitted by this engine.
 pub const RESULT_SCHEMA: &str = "diversim-result/v1";
@@ -34,6 +39,8 @@ pub struct RunOutcome {
     pub csv: String,
     /// Wall-clock duration of the run (not part of the result files).
     pub wall: Duration,
+    /// The run's narration, for the caller to print (empty when quiet).
+    pub transcript: Transcript,
 }
 
 /// Executes one experiment under a profile and renders its results.
@@ -73,7 +80,62 @@ pub fn run_experiment_with_cells(
         json,
         csv,
         wall,
+        transcript: ctx.take_transcript(),
     }
+}
+
+/// Runs `run` on every item, side by side, and returns the results in
+/// item order.
+///
+/// `min(threads, items.len())` lanes each claim the next unclaimed item
+/// until none is left; the calling thread is lane 0, so a one-item call
+/// spawns no thread. `release` sees each result in item order as soon
+/// as it and every earlier result are done, which lets a caller print
+/// per-item output in a fixed order while later items still run.
+///
+/// Each item keeps the full `threads` budget for its own workers: when
+/// one lane is in a serial stretch or has run out of items, the other
+/// lanes' workers take the idle cores.
+pub fn run_side_by_side<S, T>(
+    items: &[S],
+    threads: usize,
+    run: impl Fn(&S) -> T + Sync,
+    release: impl FnMut(&T) + Send,
+) -> Vec<T>
+where
+    S: Sync,
+    T: Send,
+{
+    // The counter only hands out indices; results travel through the
+    // mutex, so the claim needs no ordering beyond its own atomicity.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    let done = Mutex::new((slots, 0usize, release));
+    let lane = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(index) else {
+            return;
+        };
+        let result = run(item);
+        let mut guard = done.lock().expect("a side-by-side lane panicked");
+        let (results, released, release) = &mut *guard;
+        results[index] = Some(result);
+        while let Some(Some(result)) = results.get(*released) {
+            release(result);
+            *released += 1;
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(items.len()) {
+            scope.spawn(lane);
+        }
+        lane();
+    });
+    let (results, _, _) = done.into_inner().expect("a side-by-side lane panicked");
+    results
+        .into_iter()
+        .map(|result| result.expect("every item ran"))
+        .collect()
 }
 
 fn render_json(spec: &ExperimentSpec, profile: Profile, ctx: &RunContext) -> String {
@@ -193,6 +255,58 @@ mod tests {
         let fast = run_experiment(&DEMO, Profile::Fast, 1, true);
         assert!(!fast.passed, "fast must enforce checks");
         assert_eq!(fast.checks.len(), 2);
+    }
+
+    #[test]
+    fn side_by_side_returns_and_releases_in_item_order() {
+        let items: Vec<u64> = (0..23).collect();
+        // Item 0 finishes last: it waits until every other item has run,
+        // so order must come from the items, not from completion.
+        let others_done = (std::sync::Mutex::new(0), std::sync::Condvar::new());
+        let mut released = Vec::new();
+        let results = run_side_by_side(
+            &items,
+            4,
+            |&i| {
+                let (count, changed) = &others_done;
+                let mut count = count.lock().expect("test counter");
+                if i == 0 {
+                    while *count < items.len() - 1 {
+                        count = changed.wait(count).expect("test counter");
+                    }
+                } else {
+                    *count += 1;
+                    changed.notify_all();
+                }
+                i * i
+            },
+            |&r| released.push(r),
+        );
+        let squares: Vec<u64> = items.iter().map(|i| i * i).collect();
+        assert_eq!(results, squares);
+        assert_eq!(released, squares);
+    }
+
+    #[test]
+    fn one_item_pass_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = run_side_by_side(&[()], 8, |_| std::thread::current().id(), |_| {});
+        assert_eq!(ran_on, [caller]);
+        let empty: [(); 0] = [];
+        assert!(run_side_by_side(&empty, 8, |_| 1, |_| {}).is_empty());
+    }
+
+    #[test]
+    fn loud_outcome_carries_the_transcript() {
+        let quiet = run_experiment(&DEMO, Profile::Smoke, 1, true);
+        assert!(quiet.transcript.lines().is_empty());
+        let loud = run_experiment(&DEMO, Profile::Smoke, 1, false);
+        assert_eq!(
+            loud.transcript.lines().len(),
+            2,
+            "the table and the failed check"
+        );
+        assert_eq!(loud.json, quiet.json);
     }
 
     #[test]

@@ -81,6 +81,41 @@ pub struct Check {
     pub passed: bool,
 }
 
+/// The stream a [`Transcript`] line belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// Narration and tables.
+    Stdout,
+    /// `CHECK FAILED` lines.
+    Stderr,
+}
+
+/// What a non-quiet run narrates — notes, rendered tables and failed
+/// checks — kept in the order the experiment wrote it, so runs that
+/// execute side by side can still print one after another.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Transcript {
+    lines: Vec<(Stream, String)>,
+}
+
+impl Transcript {
+    /// The recorded lines, in write order. A line may span several
+    /// terminal lines (a rendered table); printing adds one newline.
+    pub fn lines(&self) -> &[(Stream, String)] {
+        &self.lines
+    }
+
+    /// Prints every line to its stream, in write order.
+    pub fn print(&self) {
+        for (stream, text) in &self.lines {
+            match stream {
+                Stream::Stdout => println!("{text}"),
+                Stream::Stderr => eprintln!("{text}"),
+            }
+        }
+    }
+}
+
 /// Axis scale of a declared figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
@@ -247,6 +282,7 @@ pub struct RunContext {
     tables: Vec<Table>,
     table_stems: Vec<String>,
     checks: Vec<Check>,
+    transcript: Transcript,
 }
 
 impl RunContext {
@@ -276,6 +312,7 @@ impl RunContext {
             tables: Vec::new(),
             table_stems: Vec::new(),
             checks: Vec::new(),
+            transcript: Transcript::default(),
         }
     }
 
@@ -334,20 +371,23 @@ impl RunContext {
         }
     }
 
-    /// Prints a progress/narrative line unless the run is quiet.
-    pub fn note(&self, message: impl AsRef<str>) {
+    /// Records a progress/narrative line in the transcript unless the
+    /// run is quiet.
+    pub fn note(&mut self, message: impl AsRef<str>) {
+        self.narrate(Stream::Stdout, || message.as_ref().to_string());
+    }
+
+    fn narrate(&mut self, stream: Stream, text: impl FnOnce() -> String) {
         if !self.quiet {
-            println!("{}", message.as_ref());
+            self.transcript.lines.push((stream, text()));
         }
     }
 
-    /// Records a finished table under a result-file stem, printing it
-    /// unless quiet and mirroring it to `DIVERSIM_TSV_DIR` if set (the
-    /// legacy per-table plotting hook).
+    /// Records a finished table under a result-file stem, adding its
+    /// rendering to the transcript unless quiet and mirroring it to
+    /// `DIVERSIM_TSV_DIR` if set (the legacy per-table plotting hook).
     pub fn emit(&mut self, table: Table, file_stem: &str) {
-        if !self.quiet {
-            println!("{}", table.render());
-        }
+        self.narrate(Stream::Stdout, || table.render());
         table.mirror_tsv(file_stem);
         self.table_stems.push(file_stem.to_string());
         self.tables.push(table);
@@ -360,10 +400,16 @@ impl RunContext {
     /// files record every check either way.
     pub fn check(&mut self, passed: bool, label: impl Into<String>) {
         let label = label.into();
-        if !passed && !self.quiet {
-            eprintln!("CHECK FAILED: {label}");
+        if !passed {
+            self.narrate(Stream::Stderr, || format!("CHECK FAILED: {label}"));
         }
         self.checks.push(Check { passed, label });
+    }
+
+    /// Moves out what the run has narrated so far (nothing when quiet),
+    /// leaving an empty transcript.
+    pub(crate) fn take_transcript(&mut self) -> Transcript {
+        std::mem::take(&mut self.transcript)
     }
 
     /// The tables recorded so far.
@@ -433,6 +479,30 @@ mod tests {
         assert_eq!(ctx.table_stems(), ["stem".to_string()]);
         assert_eq!(ctx.checks().len(), 2);
         assert_eq!(ctx.failed_checks(), vec!["broken"]);
+        assert!(
+            ctx.take_transcript().lines().is_empty(),
+            "quiet runs narrate nothing"
+        );
+    }
+
+    #[test]
+    fn loud_context_records_narration_in_write_order() {
+        let mut ctx = RunContext::new(Profile::Smoke, 1, false);
+        ctx.note("starting");
+        let mut t = Table::new("t", &["a"]);
+        t.row(&["1".into()]);
+        let rendered = t.render();
+        ctx.emit(t, "stem");
+        ctx.check(true, "holds");
+        ctx.check(false, "broken");
+        assert_eq!(
+            ctx.take_transcript().lines(),
+            [
+                (Stream::Stdout, "starting".to_string()),
+                (Stream::Stdout, rendered),
+                (Stream::Stderr, "CHECK FAILED: broken".to_string()),
+            ]
+        );
     }
 
     #[test]

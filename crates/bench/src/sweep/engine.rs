@@ -216,14 +216,15 @@ pub fn sweep_experiment(
 }
 
 /// The drift guard: byte-compares a merged sweep outcome against a
-/// direct (cell-inline) engine run of the same experiment and profile.
+/// direct (cell-inline) engine run of the same experiment and profile
+/// on `threads` workers (outputs do not depend on the count).
 ///
 /// # Errors
 ///
 /// A description naming the experiment and which result file drifted.
-pub fn verify_against_direct_run(sweep: &SweepRun) -> Result<(), String> {
+pub fn verify_against_direct_run(sweep: &SweepRun, threads: usize) -> Result<(), String> {
     let spec = sweep.outcome.spec;
-    let direct = run_experiment(spec, sweep.outcome.profile, 1, true);
+    let direct = run_experiment(spec, sweep.outcome.profile, threads, true);
     if sweep.outcome.json != direct.json {
         return Err(format!(
             "{}: sweep JSON drifted from the direct engine run",

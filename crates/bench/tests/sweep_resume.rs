@@ -4,7 +4,7 @@
 //! - An unsharded sweep must reproduce `diversim run` byte for byte,
 //!   for every registered experiment.
 //! - Cells (and the merged outputs) must not depend on the thread
-//!   count.
+//!   count, nor on how many experiments run side by side.
 //! - Complementary shards must partition the cell set, and a `--resume`
 //!   merge over their united store must serve every cell from cache and
 //!   still match the direct run.
@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use diversim_bench::engine::{run_experiment, RunOutcome};
+use diversim_bench::engine::{run_experiment, run_side_by_side, RunOutcome};
 use diversim_bench::registry;
 use diversim_bench::spec::Profile;
 use diversim_bench::sweep::{sweep_experiment, CellStore, Shard, SweepOptions, SweepRun};
@@ -81,30 +81,44 @@ fn unsharded_sweep_reproduces_every_direct_run_byte_for_byte() {
 
 #[test]
 fn cells_and_outputs_are_thread_count_invariant() {
+    // `--threads` also sets how many experiments run side by side: one
+    // lane at 1 thread, four lanes of four workers at 4.
     let one = temp_store("threads1");
-    let eight = temp_store("threads8");
-    for key in ["e01", "e06"] {
-        let spec = registry::find(key).expect("registered");
-        let run_1 = sweep_experiment(spec, &one, &opts(1, None, false));
-        let run_8 = sweep_experiment(spec, &eight, &opts(8, None, false));
-        assert_eq!(run_1.outcome.json, run_8.outcome.json, "{key} json");
-        assert_eq!(run_1.outcome.csv, run_8.outcome.csv, "{key} csv");
+    let four = temp_store("threads4");
+    let specs = registry::all();
+    let pass = |store: &CellStore, threads: usize| {
+        run_side_by_side(
+            &specs,
+            threads,
+            |spec| sweep_experiment(spec, store, &opts(threads, None, false)),
+            |_| {},
+        )
+    };
+    let runs_1 = pass(&one, 1);
+    let runs_4 = pass(&four, 4);
+    assert_eq!(runs_1.len(), specs.len());
+    for ((spec, run_1), run_4) in specs.iter().zip(&runs_1).zip(&runs_4) {
+        assert_eq!(run_1.outcome.spec.name, spec.name, "registry order");
+        assert_eq!(run_4.outcome.spec.name, spec.name, "registry order");
+        assert_eq!(run_1.outcome.json, run_4.outcome.json, "{} json", spec.name);
+        assert_eq!(run_1.outcome.csv, run_4.outcome.csv, "{} csv", spec.name);
+        assert_eq!(run_1.stats, run_4.stats, "{} cells", spec.name);
     }
     // The persisted cells themselves must agree file by file.
     let files_1 = cell_files(&one);
-    let files_8 = cell_files(&eight);
-    assert_eq!(files_1.len(), files_8.len());
-    for (a, b) in files_1.iter().zip(&files_8) {
+    let files_4 = cell_files(&four);
+    assert_eq!(files_1.len(), files_4.len());
+    for (a, b) in files_1.iter().zip(&files_4) {
         assert_eq!(a.file_name(), b.file_name());
         assert_eq!(
             fs::read_to_string(a).expect("readable"),
             fs::read_to_string(b).expect("readable"),
-            "{} differs between 1 and 8 threads",
+            "{} differs between 1 and 4 threads",
             a.display()
         );
     }
     cleanup(&one);
-    cleanup(&eight);
+    cleanup(&four);
 }
 
 #[test]
