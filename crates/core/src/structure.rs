@@ -47,6 +47,8 @@
 //! distinct components' failure indicators are independent Bernoullis and
 //! repeated leaves share one indicator.
 
+use std::borrow::Cow;
+
 use diversim_testing::suite_population::ExplicitSuitePopulation;
 use diversim_universe::bitset::BitSet;
 use diversim_universe::demand::DemandId;
@@ -264,25 +266,27 @@ impl Structure {
                 reason: "component failure sets must share a demand space",
             });
         }
-        Ok(self.failure_set_node(component_sets, capacity))
+        Ok(self.failure_set_node(component_sets, capacity).into_owned())
     }
 
-    fn failure_set_node(&self, sets: &[BitSet], capacity: usize) -> BitSet {
+    /// The fold behind [`Structure::failure_set`]: leaves are borrowed
+    /// from `sets`, so only gates build sets of their own.
+    fn failure_set_node<'a>(&self, sets: &'a [BitSet], capacity: usize) -> Cow<'a, BitSet> {
         match self {
-            Structure::Component(i) => sets[*i].clone(),
+            Structure::Component(i) => Cow::Borrowed(&sets[*i]),
             Structure::And(cs) => {
-                let mut acc = cs[0].failure_set_node(sets, capacity);
+                let mut acc = cs[0].failure_set_node(sets, capacity).into_owned();
                 for c in &cs[1..] {
                     acc.intersect_with(&c.failure_set_node(sets, capacity));
                 }
-                acc
+                Cow::Owned(acc)
             }
             Structure::Or(cs) => {
-                let mut acc = cs[0].failure_set_node(sets, capacity);
+                let mut acc = cs[0].failure_set_node(sets, capacity).into_owned();
                 for c in &cs[1..] {
                     acc.union_with(&c.failure_set_node(sets, capacity));
                 }
-                acc
+                Cow::Owned(acc)
             }
             Structure::KOutOfN { k, children } => {
                 // ge[j] = demands on which at least j of the children
@@ -301,7 +305,7 @@ impl Structure {
                         ge[j].union_with(&step);
                     }
                 }
-                ge.pop().expect("ge has t+1 entries")
+                Cow::Owned(ge.pop().expect("ge has t+1 entries"))
             }
         }
     }

@@ -9,6 +9,7 @@
 use diversim_core::marginal::MarginalAnalysis;
 use diversim_stats::ci::{normal_mean, Interval};
 use diversim_stats::online::MeanVar;
+use diversim_stats::reduce::MomentsArray;
 
 use crate::campaign::DrawnPair;
 use crate::scenario::Scenario;
@@ -84,10 +85,11 @@ impl PairEstimates {
 /// Deterministic in `(scenario.seeds(), replications)` regardless of
 /// `threads`.
 pub(crate) fn estimate(scenario: &Scenario, replications: u64, threads: usize) -> PairEstimates {
-    let [acc_a, acc_b, acc_sys] = scenario.accumulate_n::<3, _>(replications, threads, |seed| {
-        let (a, b) = DrawnPair::draw(scenario, seed).debug(scenario);
-        scenario.prepared().pair_pfds(&a, &b)
-    });
+    let [acc_a, acc_b, acc_sys] =
+        scenario.reduce(replications, threads, &MomentsArray::<3>, |seed| {
+            let (a, b) = DrawnPair::draw(scenario, seed).debug(scenario);
+            scenario.prepared().pair_pfds(&a, &b)
+        });
     PairEstimates {
         version_a_pfd: Estimate::from_accumulator(&acc_a),
         version_b_pfd: Estimate::from_accumulator(&acc_b),

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use diversim_stats::online::MeanVar;
-use diversim_stats::reduce::{ElementWise, Moments};
+use diversim_stats::reduce::{ElementWise, Moments, MomentsArray};
 use diversim_testing::suite::TestSuite;
 use diversim_universe::version::Version;
 
@@ -277,7 +277,7 @@ pub(crate) fn merged_estimate(
     threads: usize,
 ) -> MergedEstimates {
     let [ind_sys, mrg_sys, ind_ver, mrg_ver] =
-        scenario.accumulate_n::<4, _>(replications, threads, |seed| {
+        scenario.reduce(replications, threads, &MomentsArray::<4>, |seed| {
             let c = merged_comparison(scenario, n, seed);
             [
                 c.independent_system,

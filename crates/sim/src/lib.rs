@@ -87,9 +87,6 @@ pub use policy::{
     Allocation, AllocationProfile, PolicySignals, PolicySpec, PolicyStep, PolicyStudy, PolicyTrace,
     TestPolicy,
 };
-pub use runner::{
-    default_threads, parallel_accumulate, parallel_accumulate_n, parallel_reduce,
-    parallel_replications,
-};
+pub use runner::{default_threads, parallel_reduce, parallel_replications};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, SeedPolicy};
 pub use world::World;

@@ -266,12 +266,43 @@ impl Prepared {
     /// beyond `versions.len()` — scenario construction validates the
     /// structure against its component populations up front.
     pub fn structure_pfd(&self, versions: &[&Version], structure: &Structure) -> f64 {
-        let sets: Vec<BitSet> = versions
+        self.structure_mass(&self.failure_sets(versions), structure)
+    }
+
+    /// `([version_pfd(v) for v in versions], structure_pfd(versions,
+    /// structure))` in one pass, the system counterpart of
+    /// [`Prepared::pair_pfds`]: each component's failure set is built
+    /// once and feeds the structure fold and, on
+    /// [`EvalStrategy::DenseBlocks`] worlds, its own mass. Every entry is
+    /// the same mass over the same set as the separate calls, so the
+    /// results agree with them bit-for-bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Prepared::structure_pfd`].
+    pub fn system_pfds(&self, versions: &[&Version], structure: &Structure) -> (Vec<f64>, f64) {
+        let sets = self.failure_sets(versions);
+        let component_pfds = match self.strategy {
+            EvalStrategy::DenseBlocks => sets.iter().map(|s| self.weights.mass(s)).collect(),
+            EvalStrategy::Disjoint | EvalStrategy::SparseUnion => {
+                versions.iter().map(|v| self.version_pfd(v)).collect()
+            }
+        };
+        (component_pfds, self.structure_mass(&sets, structure))
+    }
+
+    fn failure_sets(&self, versions: &[&Version]) -> Vec<BitSet> {
+        versions
             .iter()
             .map(|v| v.failure_set(&self.model))
-            .collect();
+            .collect()
+    }
+
+    /// Usage mass of the demands on which `structure` over the component
+    /// failure `sets` fails.
+    fn structure_mass(&self, sets: &[BitSet], structure: &Structure) -> f64 {
         let failed = structure
-            .failure_set(&sets)
+            .failure_set(sets)
             .expect("scenario-validated structure");
         self.weights.mass(&failed)
     }
@@ -493,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_pair_pfds_match_the_separate_calls_bit_for_bit() {
+    fn fused_pair_and_system_pfds_match_the_separate_calls_bit_for_bit() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
@@ -558,12 +589,38 @@ mod tests {
                     .collect();
                 Version::from_faults(&model, faults)
             };
+            let shapes = [
+                Structure::k_of_n(2, 3),
+                Structure::series(3),
+                Structure::or(vec![
+                    Structure::component(2),
+                    Structure::and(vec![Structure::component(0), Structure::component(1)]),
+                ]),
+            ];
             for _ in 0..64 {
-                let (a, b) = (draw(), draw());
+                let (a, b, c) = (draw(), draw(), draw());
                 let fused = p.pair_pfds(&a, &b).map(f64::to_bits);
                 let separate =
                     [p.version_pfd(&a), p.version_pfd(&b), p.pair_pfd(&a, &b)].map(f64::to_bits);
                 assert_eq!(fused, separate, "{:?}", p.strategy());
+                let refs = [&a, &b, &c];
+                for shape in &shapes {
+                    let (components, system) = p.system_pfds(&refs, shape);
+                    let separate: Vec<u64> =
+                        refs.iter().map(|v| p.version_pfd(v).to_bits()).collect();
+                    assert_eq!(
+                        components.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        separate,
+                        "{:?}",
+                        p.strategy()
+                    );
+                    assert_eq!(
+                        system.to_bits(),
+                        p.structure_pfd(&refs, shape).to_bits(),
+                        "{:?} {shape:?}",
+                        p.strategy()
+                    );
+                }
             }
         }
     }

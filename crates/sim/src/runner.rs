@@ -34,8 +34,7 @@
 //!
 //! [`parallel_replications`] returns values in index order, so it is a
 //! pure function of `(replications, seeds, job)`. The folding entry
-//! points ([`parallel_reduce`], [`parallel_accumulate_n`],
-//! [`parallel_accumulate`]) fold *blocks* of `ACCUMULATE_BLOCK` (1024)
+//! point [`parallel_reduce`] folds *blocks* of `ACCUMULATE_BLOCK` (1024)
 //! consecutive replications in index order and merge block accumulators
 //! in block order, so the result — including floating-point rounding —
 //! is bit-identical for any thread count, including 1. The block size
@@ -48,8 +47,7 @@ use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use diversim_stats::online::MeanVar;
-use diversim_stats::reduce::{MomentsArray, Reducer};
+use diversim_stats::reduce::Reducer;
 use diversim_stats::seed::SeedSequence;
 
 /// Replication indices claimed per `fetch_add` in
@@ -59,7 +57,7 @@ use diversim_stats::seed::SeedSequence;
 /// are written to per-index slots, so the output does not depend on it.
 const REPLICATION_CHUNK: u64 = 64;
 
-/// Replications per accumulation block in the folding entry points.
+/// Replications per accumulation block in [`parallel_reduce`].
 ///
 /// Blocks are the unit of work claiming *and* of floating-point
 /// accumulation: each block is folded in index order and blocks are
@@ -353,67 +351,6 @@ where
         .expect("at least one block")
 }
 
-/// Runs `replications` scalar-vector jobs and folds them into `K`
-/// streaming [`MeanVar`] accumulators without materialising the
-/// per-replication results.
-///
-/// This is [`parallel_reduce`] specialised to a
-/// [`MomentsArray`]`::<K>` reducer — the batching primitive behind the
-/// experiment engine: a campaign job maps `(index, seed)` to `K`
-/// observables (say version pfds and the system pfd), and the runner
-/// returns one accumulator per observable, bit-identical for any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the first job panic with its
-/// replication index.
-///
-/// # Examples
-///
-/// ```
-/// use diversim_sim::runner::parallel_accumulate_n;
-/// use diversim_stats::seed::SeedSequence;
-///
-/// let seeds = SeedSequence::new(9);
-/// let one = parallel_accumulate_n::<2, _>(2000, seeds, 1, |i, _| [i as f64, 1.0]);
-/// let four = parallel_accumulate_n::<2, _>(2000, seeds, 4, |i, _| [i as f64, 1.0]);
-/// assert_eq!(one, four);
-/// assert_eq!(one[1].mean(), 1.0);
-/// ```
-pub fn parallel_accumulate_n<const K: usize, F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> [MeanVar; K]
-where
-    F: Fn(u64, u64) -> [f64; K] + Sync,
-{
-    parallel_reduce(replications, seeds, threads, &MomentsArray::<K>, job)
-}
-
-/// Scalar convenience wrapper over [`parallel_accumulate_n`]: folds one
-/// observable per replication into a single [`MeanVar`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the first job panic with its
-/// replication index.
-pub fn parallel_accumulate<F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> MeanVar
-where
-    F: Fn(u64, u64) -> f64 + Sync,
-{
-    let [acc] =
-        parallel_accumulate_n::<1, _>(replications, seeds, threads, |i, seed| [job(i, seed)]);
-    acc
-}
-
 /// A sensible default worker count: the number of available CPUs,
 /// capped at 16.
 ///
@@ -436,6 +373,8 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diversim_stats::online::MeanVar;
+    use diversim_stats::reduce::{Moments, MomentsArray};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -498,9 +437,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             [rng.gen::<f64>(), rng.gen::<f64>() * 3.0 - 1.5]
         };
-        let serial = parallel_accumulate_n::<2, _>(5000, seeds, 1, job);
+        let serial = parallel_reduce(5000, seeds, 1, &MomentsArray::<2>, job);
         for threads in [2, 3, 8] {
-            let parallel = parallel_accumulate_n::<2, _>(5000, seeds, threads, job);
+            let parallel = parallel_reduce(5000, seeds, threads, &MomentsArray::<2>, job);
             assert_eq!(serial, parallel, "thread count {threads} changed moments");
         }
     }
@@ -512,7 +451,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             rng.gen::<f64>()
         };
-        let acc = parallel_accumulate(3000, seeds, 4, job);
+        let acc = parallel_reduce(3000, seeds, 4, &Moments, job);
         let mut reference = MeanVar::new();
         for i in 0..3000u64 {
             reference.push(job(i, seeds.seed_for(0, i)));
@@ -525,7 +464,7 @@ mod tests {
     #[test]
     fn accumulate_zero_replications_is_empty() {
         let seeds = SeedSequence::new(0);
-        let acc = parallel_accumulate(0, seeds, 4, |_, _| 1.0);
+        let acc = parallel_reduce(0, seeds, 4, &Moments, |_, _| 1.0);
         assert_eq!(acc.count(), 0);
     }
 
@@ -533,7 +472,7 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn accumulate_zero_threads_panics() {
         let seeds = SeedSequence::new(0);
-        let _ = parallel_accumulate(1, seeds, 0, |_, _| 1.0);
+        let _ = parallel_reduce(1, seeds, 0, &Moments, |_, _| 1.0);
     }
 
     #[test]

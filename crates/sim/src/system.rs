@@ -61,7 +61,6 @@ use diversim_universe::version::Version;
 
 use crate::campaign::{CampaignRegime, DrawnPair};
 use crate::estimate::Estimate;
-use crate::prepared::Prepared;
 use crate::scenario::{Scenario, ScenarioError};
 
 /// A structure function bound to one component population per leaf: the
@@ -200,10 +199,10 @@ pub(crate) fn run_system(scenario: &Scenario, seed: u64) -> Result<SystemOutcome
     let structure = spec.structure();
     let ((component_pfds_before, system_pfd_before), versions) =
         system_campaign(scenario, spec, seed, |drawn| {
-            evaluate(prepared, structure, drawn)
+            prepared.system_pfds(drawn, structure)
         });
     let (component_pfds, system_pfd) =
-        evaluate(prepared, structure, &versions.iter().collect::<Vec<_>>());
+        prepared.system_pfds(&versions.iter().collect::<Vec<_>>(), structure);
     Ok(SystemOutcome {
         versions,
         component_pfds_before,
@@ -211,15 +210,6 @@ pub(crate) fn run_system(scenario: &Scenario, seed: u64) -> Result<SystemOutcome
         system_pfd_before,
         system_pfd,
     })
-}
-
-/// Per-component pfds of `versions` and their system pfd under
-/// `structure`.
-fn evaluate(prepared: &Prepared, structure: &Structure, versions: &[&Version]) -> (Vec<f64>, f64) {
-    (
-        versions.iter().map(|v| prepared.version_pfd(v)).collect(),
-        prepared.structure_pfd(versions, structure),
-    )
 }
 
 /// The scenario's system spec, checked against its regime.
@@ -332,7 +322,7 @@ pub(crate) fn estimate_system(
                 prepared.structure_pfd(drawn, structure)
             });
             let (component_pfds, system_pfd) =
-                evaluate(prepared, structure, &versions.iter().collect::<Vec<_>>());
+                prepared.system_pfds(&versions.iter().collect::<Vec<_>>(), structure);
             (system_pfd, system_pfd_before, component_pfds)
         });
     Ok(SystemEstimates {

@@ -6,8 +6,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use diversim_sim::runner::{parallel_accumulate_n, parallel_reduce, parallel_replications};
-use diversim_stats::reduce::{Count, ElementWise, HistogramReducer, MinMax, Moments, Sum};
+use diversim_sim::runner::{parallel_reduce, parallel_replications};
+use diversim_stats::reduce::{
+    Count, ElementWise, HistogramReducer, MinMax, Moments, MomentsArray, Sum,
+};
 use diversim_stats::seed::SeedSequence;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,10 +38,12 @@ fn chunk_and_block_boundaries_are_exact() {
                 "replications={replications}, threads={threads} changed results"
             );
         }
-        let acc_serial =
-            parallel_accumulate_n::<1, _>(replications, seeds, 1, |i, s| [noisy_job(i, s)]);
-        let acc_parallel =
-            parallel_accumulate_n::<1, _>(replications, seeds, 16, |i, s| [noisy_job(i, s)]);
+        let acc_serial = parallel_reduce(replications, seeds, 1, &MomentsArray::<1>, |i, s| {
+            [noisy_job(i, s)]
+        });
+        let acc_parallel = parallel_reduce(replications, seeds, 16, &MomentsArray::<1>, |i, s| {
+            [noisy_job(i, s)]
+        });
         assert_eq!(
             acc_serial, acc_parallel,
             "accumulate at replications={replications} not thread-invariant"
@@ -53,7 +57,7 @@ fn more_threads_than_replications_is_sound() {
     let seeds = SeedSequence::new(77);
     let out = parallel_replications(3, seeds, 16, |i, _| i * 10);
     assert_eq!(out, vec![0, 10, 20]);
-    let acc = parallel_accumulate_n::<2, _>(3, seeds, 16, |i, _| [i as f64, 1.0]);
+    let acc = parallel_reduce(3, seeds, 16, &MomentsArray::<2>, |i, _| [i as f64, 1.0]);
     assert_eq!(acc[0].count(), 3);
     assert_eq!(acc[0].mean(), 1.0);
 }
@@ -63,11 +67,11 @@ fn zero_width_reducer_is_sound() {
     // K = 0: jobs still run (for their side-effect-free bodies), the
     // result is an empty bundle — on both the serial and parallel path.
     let seeds = SeedSequence::new(5);
-    let none_serial = parallel_accumulate_n::<0, _>(3000, seeds, 1, |_, _| []);
-    let none_parallel = parallel_accumulate_n::<0, _>(3000, seeds, 8, |_, _| []);
+    let none_serial = parallel_reduce(3000, seeds, 1, &MomentsArray::<0>, |_, _| []);
+    let none_parallel = parallel_reduce(3000, seeds, 8, &MomentsArray::<0>, |_, _| []);
     assert!(none_serial.is_empty());
     assert!(none_parallel.is_empty());
-    let empty = parallel_accumulate_n::<0, _>(0, seeds, 8, |_, _| []);
+    let empty = parallel_reduce(0, seeds, 8, &MomentsArray::<0>, |_, _| []);
     assert!(empty.is_empty());
 }
 
@@ -138,7 +142,7 @@ fn job_panic_surfaces_original_payload_and_index() {
 fn accumulate_panic_surfaces_original_payload_and_index() {
     let seeds = SeedSequence::new(2);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        parallel_accumulate_n::<1, _>(3000, seeds, 4, |i, _| {
+        parallel_reduce(3000, seeds, 4, &MomentsArray::<1>, |i, _| {
             assert!(i != 1500, "invariant violated at replication 1500");
             [0.0]
         })

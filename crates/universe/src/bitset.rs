@@ -5,13 +5,43 @@
 //! that are unioned, intersected and counted in the inner loops of the
 //! simulator, so they get a dedicated bit set rather than `HashSet`.
 
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
 const BITS: usize = 64;
 
+/// Blocks a set keeps in place before it spills to the heap.
+///
+/// Four words hold 256 values. That covers every fault set and failure
+/// set of the experiment and fixture worlds (the largest,
+/// `medium_cascade`, has 200 demands), so drawing, debugging and
+/// evaluating versions on them allocates no set at all. Larger spaces,
+/// such as generated worlds of thousands of demands, keep a heap block
+/// array, whose cost is dwarfed by the work over their blocks. A fixed
+/// constant, not a knob: it trades 32 inline bytes per set for the
+/// allocation of every small one.
+const INLINE_BLOCKS: usize = 4;
+
+/// The block array behind a [`BitSet`]: inline up to
+/// [`INLINE_BLOCKS`] words, on the heap above. The variant is a
+/// function of the capacity alone, and inline words past the set's
+/// block count stay zero.
+#[derive(Clone)]
+enum Store {
+    Inline([u64; INLINE_BLOCKS]),
+    Heap(Box<[u64]>),
+}
+
 /// A fixed-capacity set of `usize` values in `[0, capacity)`, stored as a
 /// bit vector.
+///
+/// Sets of up to 256 values live inline, larger ones on the heap; the
+/// choice is invisible to callers. Equality, ordering, hashing and
+/// `Debug` are those of the pair `(blocks(), capacity())`.
 ///
 /// # Examples
 ///
@@ -25,28 +55,29 @@ const BITS: usize = 64;
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 97]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BitSet {
-    blocks: Vec<u64>,
+    store: Store,
     capacity: usize,
 }
 
 impl BitSet {
     /// Creates an empty set able to hold values in `[0, capacity)`.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            blocks: vec![0; capacity.div_ceil(BITS)],
-            capacity,
-        }
+        let blocks = capacity.div_ceil(BITS);
+        let store = if blocks <= INLINE_BLOCKS {
+            Store::Inline([0; INLINE_BLOCKS])
+        } else {
+            Store::Heap(vec![0; blocks].into_boxed_slice())
+        };
+        Self { store, capacity }
     }
 
     /// Creates a set containing every value in `[0, capacity)`.
     pub fn full(capacity: usize) -> Self {
         let mut s = Self::new(capacity);
-        for b in s.blocks.iter_mut() {
-            *b = u64::MAX;
-        }
+        s.blocks_mut().fill(u64::MAX);
         s.trim();
         s
     }
@@ -70,7 +101,7 @@ impl BitSet {
     fn trim(&mut self) {
         let rem = self.capacity % BITS;
         if rem != 0 {
-            if let Some(last) = self.blocks.last_mut() {
+            if let Some(last) = self.blocks_mut().last_mut() {
                 *last &= (1u64 << rem) - 1;
             }
         }
@@ -94,8 +125,9 @@ impl BitSet {
         );
         let (blk, bit) = (value / BITS, value % BITS);
         let mask = 1u64 << bit;
-        let was = self.blocks[blk] & mask != 0;
-        self.blocks[blk] |= mask;
+        let block = &mut self.blocks_mut()[blk];
+        let was = *block & mask != 0;
+        *block |= mask;
         !was
     }
 
@@ -112,8 +144,9 @@ impl BitSet {
         );
         let (blk, bit) = (value / BITS, value % BITS);
         let mask = 1u64 << bit;
-        let was = self.blocks[blk] & mask != 0;
-        self.blocks[blk] &= !mask;
+        let block = &mut self.blocks_mut()[blk];
+        let was = *block & mask != 0;
+        *block &= !mask;
         was
     }
 
@@ -123,24 +156,22 @@ impl BitSet {
             return false;
         }
         let (blk, bit) = (value / BITS, value % BITS);
-        self.blocks[blk] & (1u64 << bit) != 0
+        self.blocks()[blk] & (1u64 << bit) != 0
     }
 
     /// Number of stored values.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.blocks().iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// Returns `true` if the set stores nothing.
     pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
+        self.blocks().iter().all(|&b| b == 0)
     }
 
     /// Removes every value.
     pub fn clear(&mut self) {
-        for b in self.blocks.iter_mut() {
-            *b = 0;
-        }
+        self.blocks_mut().fill(0);
     }
 
     /// In-place union with `other`.
@@ -150,7 +181,7 @@ impl BitSet {
     /// Panics if capacities differ.
     pub fn union_with(&mut self, other: &Self) {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch in union");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks_mut().iter_mut().zip(other.blocks()) {
             *a |= b;
         }
     }
@@ -165,7 +196,7 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersection"
         );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks_mut().iter_mut().zip(other.blocks()) {
             *a &= b;
         }
     }
@@ -180,7 +211,7 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in difference"
         );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks_mut().iter_mut().zip(other.blocks()) {
             *a &= !b;
         }
     }
@@ -195,9 +226,9 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersection_len"
         );
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
@@ -212,9 +243,9 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersects"
         );
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .any(|(a, b)| a & b != 0)
     }
 
@@ -228,18 +259,19 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in is_subset"
         );
-        self.blocks
+        self.blocks()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks())
             .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates stored values in ascending order.
     pub fn iter(&self) -> Iter<'_> {
+        let blocks = self.blocks();
         Iter {
-            set: self,
+            blocks,
             block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
+            current: blocks.first().copied().unwrap_or(0),
         }
     }
 
@@ -247,7 +279,19 @@ impl BitSet {
     /// representation the weighted-popcount kernel iterates over. Bits at
     /// or beyond [`capacity`](Self::capacity) are always zero.
     pub fn blocks(&self) -> &[u64] {
-        &self.blocks
+        let n = self.capacity.div_ceil(BITS);
+        match &self.store {
+            Store::Inline(words) => &words[..n],
+            Store::Heap(words) => words,
+        }
+    }
+
+    fn blocks_mut(&mut self) -> &mut [u64] {
+        let n = self.capacity.div_ceil(BITS);
+        match &mut self.store {
+            Store::Inline(words) => &mut words[..n],
+            Store::Heap(words) => words,
+        }
     }
 
     /// Weighted popcount `Σ_{i ∈ self} weights[i]`: the mass of the set
@@ -271,7 +315,7 @@ impl BitSet {
             "weight vector length must equal capacity"
         );
         let mut acc = 0.0;
-        for (bi, &block) in self.blocks.iter().enumerate() {
+        for (bi, &block) in self.blocks().iter().enumerate() {
             let mut bits = block;
             if bits == 0 {
                 continue;
@@ -343,7 +387,7 @@ impl BitSet {
             "weight vector length must equal capacity"
         );
         let mut acc = 0.0;
-        for (bi, (&a, &b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
+        for (bi, (&a, &b)) in self.blocks().iter().zip(other.blocks()).enumerate() {
             let mut bits = combine(a, b);
             if bits == 0 {
                 continue;
@@ -355,6 +399,48 @@ impl BitSet {
             }
         }
         acc
+    }
+}
+
+// Equality, ordering, hashing and `Debug` delegate to `(blocks(),
+// capacity)`, exactly as the derives over the former `Vec<u64>` field
+// did: `Ord` orders the sets `enumerate_iid_suites` accumulates in a
+// `BTreeMap`, so it is part of the output contract.
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity && self.blocks() == other.blocks()
+    }
+}
+
+impl Eq for BitSet {}
+
+impl Ord for BitSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.blocks()
+            .cmp(other.blocks())
+            .then(self.capacity.cmp(&other.capacity))
+    }
+}
+
+impl PartialOrd for BitSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for BitSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.blocks().hash(state);
+        self.capacity.hash(state);
+    }
+}
+
+impl fmt::Debug for BitSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BitSet")
+            .field("blocks", &self.blocks())
+            .field("capacity", &self.capacity)
+            .finish()
     }
 }
 
@@ -428,7 +514,7 @@ impl BlockWeights {
             "capacity mismatch in BlockWeights::mass"
         );
         let mut acc = 0.0;
-        for (&block, chunk) in set.blocks.iter().zip(self.padded.chunks_exact(BITS)) {
+        for (&block, chunk) in set.blocks().iter().zip(self.padded.chunks_exact(BITS)) {
             let mut bits = block;
             while bits != 0 {
                 acc += chunk[bits.trailing_zeros() as usize];
@@ -482,9 +568,9 @@ impl BlockWeights {
         );
         let mut acc = 0.0;
         for ((&x, &y), chunk) in a
-            .blocks
+            .blocks()
             .iter()
-            .zip(&b.blocks)
+            .zip(b.blocks())
             .zip(self.padded.chunks_exact(BITS))
         {
             let mut bits = combine(x, y);
@@ -500,7 +586,7 @@ impl BlockWeights {
 /// Ascending iterator over a [`BitSet`], created by [`BitSet::iter`].
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    blocks: &'a [u64],
     block_idx: usize,
     current: u64,
 }
@@ -516,10 +602,7 @@ impl Iterator for Iter<'_> {
                 return Some(self.block_idx * BITS + bit);
             }
             self.block_idx += 1;
-            if self.block_idx >= self.set.blocks.len() {
-                return None;
-            }
-            self.current = self.set.blocks[self.block_idx];
+            self.current = *self.blocks.get(self.block_idx)?;
         }
     }
 }
@@ -760,5 +843,138 @@ mod tests {
     #[should_panic(expected = "capacity mismatch")]
     fn block_weights_mass_checks_capacity() {
         BlockWeights::new(&[1.0, 2.0]).mass(&BitSet::new(3));
+    }
+
+    /// Capacities on both sides of the one-block and inline/heap
+    /// boundaries.
+    const CAPACITIES: [usize; 10] = [0, 1, 63, 64, 65, 255, 256, 257, 320, 1000];
+
+    /// A tiny deterministic xorshift stream, so the representation tests
+    /// need no rng dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn random_set(cap: usize, state: &mut u64) -> BitSet {
+        let mut s = BitSet::new(cap);
+        for i in 0..cap {
+            if xorshift(state).is_multiple_of(3) {
+                s.insert(i);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn operations_agree_with_a_bool_model_on_both_sides_of_the_inline_limit() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        for cap in CAPACITIES {
+            let inline = matches!(BitSet::new(cap).store, Store::Inline(_));
+            assert_eq!(inline, cap <= INLINE_BLOCKS * BITS, "cap {cap}");
+            let a = random_set(cap, &mut state);
+            let b = random_set(cap, &mut state);
+            let ma: Vec<bool> = (0..cap).map(|i| a.contains(i)).collect();
+            let mb: Vec<bool> = (0..cap).map(|i| b.contains(i)).collect();
+            assert_eq!(a.blocks().len(), cap.div_ceil(BITS), "cap {cap}");
+            assert_eq!(a.len(), ma.iter().filter(|&&x| x).count(), "cap {cap}");
+            assert!(!a.contains(cap), "cap {cap}");
+            let members = |m: &[bool], f: &dyn Fn(bool, bool) -> bool, other: &[bool]| {
+                (0..cap).filter(|&i| f(m[i], other[i])).collect::<Vec<_>>()
+            };
+            let mut u = a.clone();
+            u.union_with(&b);
+            assert_eq!(
+                u.iter().collect::<Vec<_>>(),
+                members(&ma, &|x, y| x || y, &mb)
+            );
+            let mut i = a.clone();
+            i.intersect_with(&b);
+            assert_eq!(
+                i.iter().collect::<Vec<_>>(),
+                members(&ma, &|x, y| x && y, &mb)
+            );
+            let mut d = a.clone();
+            d.difference_with(&b);
+            assert_eq!(
+                d.iter().collect::<Vec<_>>(),
+                members(&ma, &|x, y| x && !y, &mb)
+            );
+            assert_eq!(a.intersection_len(&b), i.len(), "cap {cap}");
+            assert_eq!(a.intersects(&b), !i.is_empty(), "cap {cap}");
+            assert!(i.is_subset(&a) && i.is_subset(&b), "cap {cap}");
+            assert_eq!(a.is_subset(&b), d.is_empty(), "cap {cap}");
+
+            let mut s = a.clone();
+            assert_eq!(s, a);
+            for v in (0..cap).step_by(7) {
+                assert_eq!(s.insert(v), !ma[v], "cap {cap} insert {v}");
+                assert!(s.contains(v));
+                assert!(s.remove(v), "cap {cap} remove {v}");
+                assert!(!s.contains(v) && !s.remove(v), "cap {cap} re-remove {v}");
+            }
+            let full = BitSet::full(cap);
+            assert_eq!(full.len(), cap, "cap {cap}");
+            assert!(a.is_subset(&full), "cap {cap}");
+            s.clear();
+            assert!(
+                s.is_empty() && s.blocks().iter().all(|&w| w == 0),
+                "cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn ord_eq_and_hash_are_those_of_the_block_vector_and_capacity() {
+        use std::collections::hash_map::DefaultHasher;
+
+        fn hash_of<T: Hash>(value: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            value.hash(&mut h);
+            h.finish()
+        }
+
+        let mut state = 0xD1B5_4A32_D192_ED03;
+        let mut sets: Vec<BitSet> = Vec::new();
+        for cap in CAPACITIES {
+            sets.push(BitSet::new(cap));
+            sets.push(BitSet::full(cap));
+            for _ in 0..3 {
+                sets.push(random_set(cap, &mut state));
+            }
+        }
+        // Equal block vectors under different capacities (and empty sets
+        // straddling a block boundary) must still order by capacity.
+        sets.push(BitSet::from_iter_with_capacity(64, [3]));
+        sets.push(BitSet::from_iter_with_capacity(10, [3]));
+        for a in &sets {
+            let ka = (a.blocks().to_vec(), a.capacity());
+            assert_eq!(hash_of(a), hash_of(&ka), "{a:?}");
+            for b in &sets {
+                let kb = (b.blocks().to_vec(), b.capacity());
+                assert_eq!(a.cmp(b), ka.cmp(&kb), "{a:?} vs {b:?}");
+                assert_eq!(a.partial_cmp(b), Some(ka.cmp(&kb)));
+                assert_eq!(a == b, ka == kb, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_blocks_and_capacity() {
+        assert_eq!(
+            format!("{:?}", BitSet::from_iter_with_capacity(130, [0, 64, 129])),
+            "BitSet { blocks: [1, 1, 2], capacity: 130 }"
+        );
+        assert_eq!(
+            format!("{:?}", BitSet::new(0)),
+            "BitSet { blocks: [], capacity: 0 }"
+        );
+        let heap = BitSet::from_iter_with_capacity(320, [319]);
+        assert_eq!(
+            format!("{heap:?}"),
+            "BitSet { blocks: [0, 0, 0, 0, 9223372036854775808], capacity: 320 }"
+        );
     }
 }
