@@ -21,19 +21,19 @@ const BITS: usize = 64;
 /// `medium_cascade`, has 200 demands), so drawing, debugging and
 /// evaluating versions on them allocates no set at all. Larger spaces,
 /// such as generated worlds of thousands of demands, keep a heap block
-/// array, whose cost is dwarfed by the work over their blocks. A fixed
+/// vector, whose cost is dwarfed by the work over their blocks. A fixed
 /// constant, not a knob: it trades 32 inline bytes per set for the
 /// allocation of every small one.
 const INLINE_BLOCKS: usize = 4;
 
 /// The block array behind a [`BitSet`]: inline up to
-/// [`INLINE_BLOCKS`] words, on the heap above. The variant is a
+/// [`INLINE_BLOCKS`] words, in a `Vec` above. The variant is a
 /// function of the capacity alone, and inline words past the set's
 /// block count stay zero.
 #[derive(Clone)]
 enum Store {
     Inline([u64; INLINE_BLOCKS]),
-    Heap(Box<[u64]>),
+    Heap(Vec<u64>),
 }
 
 /// A fixed-capacity set of `usize` values in `[0, capacity)`, stored as a
@@ -69,7 +69,7 @@ impl BitSet {
         let store = if blocks <= INLINE_BLOCKS {
             Store::Inline([0; INLINE_BLOCKS])
         } else {
-            Store::Heap(vec![0; blocks].into_boxed_slice())
+            Store::Heap(vec![0; blocks])
         };
         Self { store, capacity }
     }
@@ -92,10 +92,24 @@ impl BitSet {
         values: I,
     ) -> Self {
         let mut s = Self::new(capacity);
-        for v in values {
-            s.insert(v);
-        }
+        s.insert_all(values);
         s
+    }
+
+    /// Inserts every value of `values`, resolving the block store once
+    /// for the whole batch rather than once per value: the inner loop of
+    /// building failure sets from region index lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is `>= capacity`.
+    pub(crate) fn insert_all<I: IntoIterator<Item = usize>>(&mut self, values: I) {
+        let capacity = self.capacity;
+        let blocks = self.blocks_mut();
+        for value in values {
+            assert!(value < capacity, "value {value} out of capacity {capacity}");
+            blocks[value / BITS] |= 1u64 << (value % BITS);
+        }
     }
 
     fn trim(&mut self) {
