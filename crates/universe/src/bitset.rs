@@ -22,8 +22,8 @@ const BITS: usize = 64;
 /// evaluating versions on them allocates no set at all. Larger spaces,
 /// such as generated worlds of thousands of demands, keep a heap block
 /// vector, whose cost is dwarfed by the work over their blocks. A fixed
-/// constant, not a knob: it trades 32 inline bytes per set for the
-/// allocation of every small one.
+/// constant, not a knob: it makes every set 16 bytes larger (48 instead
+/// of 32) and saves the allocation of every small one.
 const INLINE_BLOCKS: usize = 4;
 
 /// The block array behind a [`BitSet`]: inline up to
